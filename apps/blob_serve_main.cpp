@@ -444,7 +444,7 @@ int run_fleet(const blob::util::ArgParser& args,
   }
 
   // The fleet serves the f32/f64 mix (half precisions stay on the
-  // single-device replay path — see serve::OpKind).
+  // single-device replay path — see serve::ServeRequest).
   std::vector<std::size_t> mix;
   for (std::size_t ci = 0; ci < kNumClasses; ++ci) {
     if (kClasses[ci].precision != blob::model::Precision::F16) {
@@ -1130,9 +1130,9 @@ int main(int argc, char** argv) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
   }
-  // Budgets apply to the replay modes only: fleet traffic carries no
-  // accuracy contract yet, and factorizations/solvers require exact
-  // results (pivoting diverges under perturbation).
+  // Budgets apply to the replay modes only: fleet mode verifies
+  // bitwise against --verify-single, and factorizations/solvers require
+  // exact results (pivoting diverges under perturbation).
   if (!budget.is_exact() &&
       (args.get_int("--devices") > 0 || args.get_flag("--solver") ||
        !args.get_string("--factorize").empty())) {

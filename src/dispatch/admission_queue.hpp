@@ -6,7 +6,12 @@
 // sweep per cycle so a producer burst caught mid-flight lands in one
 // cycle instead of dribbling through many). The channel itself is a
 // one-shard dispatch::ShardedQueue — the same template the serve layer
-// fans out across N device shards. Each cycle the worker
+// fans out across N device shards. Each cycle is cut into hazard-free
+// segments that run one after another in submission order: a request
+// opens a new segment when its operands overlap the output of an
+// earlier request in the segment, or its output overlaps an earlier
+// request's operands (a conservative byte-span test on the operand
+// regions). Within a segment the worker
 //  1. coalesces same-shape small GEMMs into a single blas::gemm_batched
 //     submission (the paper's §V future-work observation that batching
 //     "can greatly improve GEMM performance for small problem sizes"),
@@ -18,6 +23,9 @@
 //     synchronising, then runs all CPU-routed work while those virtual
 //     transfers/kernels are in flight, and only then joins the GPU jobs —
 //     transfer/compute overlap in the cudaMemcpyAsync style.
+// No member of a segment touches another member's output, so neither the
+// batched kernels' threads nor the deferred GPU unpacks can reorder the
+// writes to one buffer: callers keep their sequential semantics.
 //
 // Results are published through the futures strictly after the output
 // buffer has been written (for GPU routes, after the staged download is
@@ -56,17 +64,24 @@ class AdmissionQueue {
   AdmissionQueue& operator=(const AdmissionQueue&) = delete;
 
   // -- asynchronous submission (thread-safe) -------------------------------
-  // The caller keeps all operand buffers alive and un-aliased until the
-  // returned future resolves.
+  // The caller keeps all operand buffers alive until the returned future
+  // resolves. Dims are validated here (std::invalid_argument) and the
+  // calling thread's error budget is captured with the request.
   template <typename T>
   std::future<void> submit_gemm(blas::Transpose ta, blas::Transpose tb,
                                 int m, int n, int k, T alpha, const T* a,
                                 int lda, const T* b, int ldb, T beta, T* c,
-                                int ldc);
+                                int ldc) {
+    return push(Call::gemm<T>(ta, tb, m, n, k, alpha, a, lda, b, ldb, beta,
+                              c, ldc, dispatcher_.effective_mode()));
+  }
   template <typename T>
   std::future<void> submit_gemv(blas::Transpose ta, int m, int n, T alpha,
                                 const T* a, int lda, const T* x, int incx,
-                                T beta, T* y, int incy);
+                                T beta, T* y, int incy) {
+    return push(Call::gemv<T>(ta, m, n, alpha, a, lda, x, incx, beta, y,
+                              incy, dispatcher_.effective_mode()));
+  }
 
   /// Block until every request submitted so far has completed.
   void flush();
@@ -79,45 +94,27 @@ class AdmissionQueue {
   [[nodiscard]] std::uint64_t completed() const;
 
  private:
-  enum class Kind { GemmF32, GemmF64, GemvF32, GemvF64 };
-
   struct Request {
-    Kind kind = Kind::GemmF32;
-    blas::Transpose ta = blas::Transpose::No;
-    blas::Transpose tb = blas::Transpose::No;
-    int m = 0, n = 0, k = 0;
-    int lda = 0, ldb = 0, ldc = 0;
-    int incx = 1, incy = 1;
-    // Scalars held as double; float round-trips losslessly.
-    double alpha = 1.0, beta = 0.0;
-    const void* a = nullptr;
-    const void* b = nullptr;  ///< B for GEMM, x for GEMV
-    void* c = nullptr;        ///< C for GEMM, y for GEMV
-    /// Error budget captured from the PRODUCER's thread-local at submit
-    /// time — the worker thread that lowers the request has its own
-    /// (always-exact) slot, so reading it at drain time would silently
-    /// erase every relaxed contract.
-    core::ErrorBudget budget = core::ErrorBudget::exact();
+    Call call;
     std::promise<void> done;
     /// obs::now_ns() at push() when tracing is on (0 otherwise); the
     /// drain cycle turns it into the admission-wait histogram.
     std::int64_t submit_ns = 0;
   };
 
-  std::future<void> push(Request request);
+  std::future<void> push(Call call);
   void worker_loop();
   void drain_cycle(std::vector<Request>& batch);
+  /// Coalesce, plan and run batch[begin, end): one hazard-free segment.
+  void run_segment(std::vector<Request>& batch, std::size_t begin,
+                   std::size_t end);
 
-  /// Lower a queued request to the canonical operation descriptor the
-  /// dispatcher speaks (validates dims; stamps the transfer mode).
-  [[nodiscard]] core::OpDesc make_desc(const Request& r) const;
-
-  /// True when the request qualifies for CPU-batched coalescing.
+  /// True when the call qualifies for CPU-batched coalescing.
   /// Transposed GEMMs/GEMVs coalesce like NN ones — the batched
   /// primitives take the flags — so layout never disqualifies a group,
   /// only size does. Strided GEMV vectors coalesce too (gemv_batched
   /// stages them); unequal increments land in different groups.
-  [[nodiscard]] bool coalescible(const Request& r) const;
+  [[nodiscard]] bool coalescible(const core::OpDesc& desc) const;
 
   Dispatcher& dispatcher_;
   AdmissionQueueConfig config_;

@@ -1,10 +1,12 @@
 #include "dispatch/dispatcher.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <type_traits>
 
 #include "blas/autotune.hpp"
@@ -23,34 +25,65 @@ template <typename T>
 inline constexpr bool kIsHalf =
     std::is_same_v<T, blas::f16> || std::is_same_v<T, blas::bf16>;
 
-/// Copy an ld-strided column-major matrix into a tight (ld == rows) one.
-template <typename T>
-void pack_dense(T* dst, const T* src, std::int64_t ld, std::int64_t rows,
-                std::int64_t cols) {
-  if (ld == rows) {
-    std::memcpy(dst, src, sizeof(T) * static_cast<std::size_t>(rows) *
-                              static_cast<std::size_t>(cols));
+/// One operand as the device stages it: `rows` x `cols` column-major,
+/// `ld` apart on the host, packed tightly (ld == rows) on the device. A
+/// GEMV's x and y are len x 1 columns.
+struct Dense {
+  std::int64_t rows = 0;
+  std::int64_t cols = 0;
+  std::int64_t ld = 0;
+
+  [[nodiscard]] std::size_t bytes(std::size_t es) const {
+    return es * static_cast<std::size_t>(rows) *
+           static_cast<std::size_t>(cols);
+  }
+};
+
+/// A, B (or x) and C (or y) of a device-supported call in STORED shapes.
+std::array<Dense, 3> dense_operands(const core::OpDesc& d) {
+  if (d.op == core::KernelOp::Gemm) {
+    return {{{d.rows_a(), d.cols_a(), d.lda},
+             {d.rows_b(), d.cols_b(), d.ldb},
+             {d.m, d.n, d.ldc}}};
+  }
+  return {{{d.m, d.n, d.lda},
+           {d.x_len(), 1, d.x_len()},
+           {d.y_len(), 1, d.y_len()}}};
+}
+
+/// Copy the `s.rows` x `s.cols` block between buffers whose leading
+/// dimensions (in elements) are `dst_ld` and `src_ld`: host -> staging
+/// packs (src_ld = s.ld), staging -> host unpacks and leaves the host
+/// padding rows untouched (dst_ld = s.ld).
+void copy_dense(void* dst, std::int64_t dst_ld, const void* src,
+                std::int64_t src_ld, const Dense& s, std::size_t es) {
+  if (s.ld == s.rows) {
+    std::memcpy(dst, src, s.bytes(es));
     return;
   }
-  for (std::int64_t j = 0; j < cols; ++j) {
-    std::memcpy(dst + static_cast<std::size_t>(j) * rows,
-                src + static_cast<std::size_t>(j) * ld,
-                sizeof(T) * static_cast<std::size_t>(rows));
+  const std::size_t col = es * static_cast<std::size_t>(s.rows);
+  for (std::int64_t j = 0; j < s.cols; ++j) {
+    std::memcpy(static_cast<char*>(dst) +
+                    static_cast<std::size_t>(j * dst_ld) * es,
+                static_cast<const char*>(src) +
+                    static_cast<std::size_t>(j * src_ld) * es,
+                col);
   }
 }
 
-template <typename T>
-void unpack_dense(T* dst, std::int64_t ld, const T* src, std::int64_t rows,
-                  std::int64_t cols) {
-  if (ld == rows) {
-    std::memcpy(dst, src, sizeof(T) * static_cast<std::size_t>(rows) *
-                              static_cast<std::size_t>(cols));
-    return;
-  }
-  for (std::int64_t j = 0; j < cols; ++j) {
-    std::memcpy(dst + static_cast<std::size_t>(j) * ld,
-                src + static_cast<std::size_t>(j) * rows,
-                sizeof(T) * static_cast<std::size_t>(rows));
+/// The one typed visit: calls f with a value of the element type that
+/// `precision` names.
+template <typename F>
+void visit_precision(model::Precision precision, F&& f) {
+  switch (precision) {
+    case model::Precision::F32:
+      return f(float{});
+    case model::Precision::F64:
+      return f(double{});
+    case model::Precision::F16:
+      return f(blas::f16{});
+    case model::Precision::BF16:
+      return f(blas::bf16{});
   }
 }
 
@@ -79,30 +112,22 @@ const char* route_noise_tag(Route route) {
   return "dispatch";
 }
 
-/// Host operand footprints of one GEMM call, in STORED shapes.
-template <typename T>
-OperandRegions gemm_regions(const core::OpDesc& desc, const T* a, const T* b,
-                            const T* c) {
-  OperandRegions r;
-  r.a = matrix_region(a, sizeof(T), desc.lda, desc.rows_a(), desc.cols_a());
-  r.b = matrix_region(b, sizeof(T), desc.ldb, desc.rows_b(), desc.cols_b());
-  r.c = matrix_region(c, sizeof(T), desc.ldc, desc.m, desc.n);
-  return r;
-}
-
-/// Host operand footprints of one GEMV call (A is the stored m x n
-/// matrix regardless of trans_a; x/y lengths follow the transpose).
-template <typename T>
-OperandRegions gemv_regions(const core::OpDesc& desc, const T* a, const T* x,
-                            const T* y) {
-  OperandRegions r;
-  r.a = matrix_region(a, sizeof(T), desc.lda, desc.m, desc.n);
-  r.b = vector_region(x, sizeof(T), desc.x_len(), desc.incx);
-  r.c = vector_region(y, sizeof(T), desc.y_len(), desc.incy);
-  return r;
-}
-
 }  // namespace
+
+OperandRegions operand_regions(const Call& call) {
+  const core::OpDesc& d = call.desc;
+  const std::size_t es = model::bytes_of(d.precision);
+  OperandRegions r;
+  r.a = matrix_region(call.a, es, d.lda, d.rows_a(), d.cols_a());
+  if (d.op == core::KernelOp::Gemm) {
+    r.b = matrix_region(call.b, es, d.ldb, d.rows_b(), d.cols_b());
+    r.c = matrix_region(call.c, es, d.ldc, d.m, d.n);
+  } else {
+    r.b = vector_region(call.b, es, d.x_len(), d.incx);
+    r.c = vector_region(call.c, es, d.y_len(), d.incy);
+  }
+  return r;
+}
 
 Dispatcher::Dispatcher(DispatcherConfig config)
     : config_(std::move(config)),
@@ -282,60 +307,6 @@ void Dispatcher::note_host_output_locked(const Region& region) {
   }
 }
 
-// -- hook entry points -------------------------------------------------------
-
-bool Dispatcher::gemm(const core::OpDesc& desc, float alpha, const float* a,
-                      const float* b, float beta, float* c) {
-  dispatch_gemm<float, float>(desc, alpha, a, b, beta, c);
-  return true;
-}
-
-bool Dispatcher::gemm(const core::OpDesc& desc, double alpha, const double* a,
-                      const double* b, double beta, double* c) {
-  dispatch_gemm<double, double>(desc, alpha, a, b, beta, c);
-  return true;
-}
-
-bool Dispatcher::gemv(const core::OpDesc& desc, float alpha, const float* a,
-                      const float* x, float beta, float* y) {
-  dispatch_gemv<float, float>(desc, alpha, a, x, beta, y);
-  return true;
-}
-
-bool Dispatcher::gemv(const core::OpDesc& desc, double alpha, const double* a,
-                      const double* x, double beta, double* y) {
-  dispatch_gemv<double, double>(desc, alpha, a, x, beta, y);
-  return true;
-}
-
-bool Dispatcher::gemm(const core::OpDesc& desc, float alpha,
-                      const blas::f16* a, const blas::f16* b, float beta,
-                      blas::f16* c) {
-  dispatch_gemm<blas::f16, float>(desc, alpha, a, b, beta, c);
-  return true;
-}
-
-bool Dispatcher::gemm(const core::OpDesc& desc, float alpha,
-                      const blas::bf16* a, const blas::bf16* b, float beta,
-                      blas::bf16* c) {
-  dispatch_gemm<blas::bf16, float>(desc, alpha, a, b, beta, c);
-  return true;
-}
-
-bool Dispatcher::gemv(const core::OpDesc& desc, float alpha,
-                      const blas::f16* a, const blas::f16* x, float beta,
-                      blas::f16* y) {
-  dispatch_gemv<blas::f16, float>(desc, alpha, a, x, beta, y);
-  return true;
-}
-
-bool Dispatcher::gemv(const core::OpDesc& desc, float alpha,
-                      const blas::bf16* a, const blas::bf16* x, float beta,
-                      blas::bf16* y) {
-  dispatch_gemv<blas::bf16, float>(desc, alpha, a, x, beta, y);
-  return true;
-}
-
 void Dispatcher::host_write(const void* ptr, std::size_t chunk_bytes,
                             std::size_t stride_bytes, std::size_t count) {
   if (!tracking_enabled()) return;
@@ -368,18 +339,6 @@ void Dispatcher::host_swap(const void* pa, const void* pb,
     counters_.residency_swaps_mirrored.fetch_add(mirrored,
                                                  std::memory_order_relaxed);
   }
-}
-
-template <typename T, typename S>
-void Dispatcher::run_gemm(const core::OpDesc& desc, S alpha, const T* a,
-                          const T* b, S beta, T* c) {
-  dispatch_gemm<T, S>(desc, alpha, a, b, beta, c);
-}
-
-template <typename T, typename S>
-void Dispatcher::run_gemv(const core::OpDesc& desc, S alpha, const T* a,
-                          const T* x, S beta, T* y) {
-  dispatch_gemv<T, S>(desc, alpha, a, x, beta, y);
 }
 
 // -- decision plumbing -------------------------------------------------------
@@ -453,6 +412,10 @@ Decision Dispatcher::plan(const core::OpDesc& desc, bool gpu_ok,
                           const OperandRegions& regions) {
   std::lock_guard<std::mutex> lock(mutex_);
   return plan_locked(desc, gpu_ok, regions);
+}
+
+Decision Dispatcher::plan(const Call& call) {
+  return plan(call.desc, gpu_supported(call.desc), operand_regions(call));
 }
 
 double Dispatcher::cpu_cost(const core::OpDesc& desc) const {
@@ -575,184 +538,154 @@ void Dispatcher::account_and_observe(const core::OpDesc& desc,
   }
 }
 
-// -- CPU-side execution ------------------------------------------------------
+// -- the op- and type-specific leaves ----------------------------------------
 
-template <typename T, typename S>
-void Dispatcher::cpu_exec_gemm(const core::OpDesc& desc, S alpha, const T* a,
-                               const T* b, S beta, T* c) {
-  const auto m = static_cast<int>(desc.m);
-  const auto n = static_cast<int>(desc.n);
-  const auto k = static_cast<int>(desc.k);
-  if constexpr (kIsHalf<T>) {
-    blas::hgemm<T>(desc.trans_a, desc.trans_b, m, n, k, alpha, a,
-                   static_cast<int>(desc.lda), b, static_cast<int>(desc.ldb),
-                   beta, c, static_cast<int>(desc.ldc), cpu_->pool(),
-                   cpu_->max_threads());
-  } else {
-    cpu_->do_gemm(desc.trans_a, desc.trans_b, m, n, k, alpha, a,
-                  static_cast<int>(desc.lda), b, static_cast<int>(desc.ldb),
-                  beta, c, static_cast<int>(desc.ldc));
-  }
+void Dispatcher::cpu_exec(const Call& call) {
+  const core::OpDesc& d = call.desc;
+  const auto m = static_cast<int>(d.m);
+  const auto n = static_cast<int>(d.n);
+  const auto k = static_cast<int>(d.k);
+  const auto lda = static_cast<int>(d.lda);
+  visit_precision(d.precision, [&](auto tag) {
+    using T = decltype(tag);
+    using S = sim::kernel_scalar_t<T>;
+    const auto alpha = static_cast<S>(call.alpha);
+    const auto beta = static_cast<S>(call.beta);
+    const auto* a = static_cast<const T*>(call.a);
+    const auto* b = static_cast<const T*>(call.b);
+    auto* c = static_cast<T*>(call.c);
+    if (d.op == core::KernelOp::Gemm) {
+      const auto ldb = static_cast<int>(d.ldb);
+      const auto ldc = static_cast<int>(d.ldc);
+      if constexpr (kIsHalf<T>) {
+        blas::hgemm<T>(d.trans_a, d.trans_b, m, n, k, alpha, a, lda, b, ldb,
+                       beta, c, ldc, cpu_->pool(), cpu_->max_threads());
+      } else {
+        cpu_->do_gemm(d.trans_a, d.trans_b, m, n, k, alpha, a, lda, b, ldb,
+                      beta, c, ldc);
+      }
+    } else if constexpr (kIsHalf<T>) {
+      blas::hgemv<T>(d.trans_a, m, n, alpha, a, lda, b, beta, c);
+    } else {
+      cpu_->do_gemv(d.trans_a, m, n, alpha, a, lda, b,
+                    static_cast<int>(d.incx), beta, c,
+                    static_cast<int>(d.incy));
+    }
+  });
 }
 
-template <typename T, typename S>
-void Dispatcher::cpu_exec_gemv(const core::OpDesc& desc, S alpha, const T* a,
-                               const T* x, S beta, T* y) {
-  const auto m = static_cast<int>(desc.m);
-  const auto n = static_cast<int>(desc.n);
-  if constexpr (kIsHalf<T>) {
-    blas::hgemv<T>(desc.trans_a, m, n, alpha, a,
-                   static_cast<int>(desc.lda), x, beta, y);
-  } else {
-    cpu_->do_gemv(desc.trans_a, m, n, alpha, a, static_cast<int>(desc.lda),
-                  x, static_cast<int>(desc.incx), beta, y,
-                  static_cast<int>(desc.incy));
-  }
+void Dispatcher::launch_kernel(Route route, const Call& call, sim::Buffer& a,
+                               sim::Buffer& b, sim::Buffer& c,
+                               sim::Stream& stream) {
+  const core::OpDesc& d = call.desc;
+  const auto m = static_cast<int>(d.m);
+  const auto n = static_cast<int>(d.n);
+  const auto k = static_cast<int>(d.k);
+  // Staged operands are tight: leading dimensions are the stored rows.
+  const auto lda = static_cast<int>(d.rows_a());
+  const auto ldb = static_cast<int>(d.rows_b());
+  visit_precision(d.precision, [&](auto tag) {
+    using T = decltype(tag);
+    using S = sim::kernel_scalar_t<T>;
+    const auto alpha = static_cast<S>(call.alpha);
+    const auto beta = static_cast<S>(call.beta);
+    if (d.op == core::KernelOp::Gemv) {
+      device_.gemv<T>(d.trans_a, m, n, alpha, a, lda, b, beta, c, &stream);
+    } else if (route != Route::GpuEmulated) {
+      device_.gemm<T>(d.trans_a, d.trans_b, m, n, k, alpha, a, lda, b, ldb,
+                      beta, c, m, &stream);
+    } else if constexpr (std::is_same_v<T, double>) {
+      // Operands crossed the link as fp64 and are sliced on the device, so
+      // the measured span differs from the native arm by the kernel term.
+      device_.gemm_emulated(d.trans_a, d.trans_b, m, n, k, alpha, a, lda, b,
+                            ldb, beta, c, m, blas::slices_for_budget(d.budget),
+                            &stream);
+    } else {
+      throw std::logic_error("Dispatcher: emulated route on a non-fp64 call");
+    }
+  });
 }
 
 // -- synchronous dispatch ----------------------------------------------------
 
-template <typename T, typename S>
-void Dispatcher::dispatch_gemm(core::OpDesc desc, S alpha, const T* a,
-                               const T* b, S beta, T* c) {
-  obs::Span span("dispatch.gemm", obs::Category::Dispatch);
+void Dispatcher::run(Call call) {
+  core::OpDesc& desc = call.desc;
+  obs::Span span(
+      desc.op == core::KernelOp::Gemm ? "dispatch.gemm" : "dispatch.gemv",
+      obs::Category::Dispatch);
   std::lock_guard<std::mutex> lock(mutex_);
   if (desc.m <= 0 || desc.n <= 0) return;  // nothing to update
   desc.mode = effective_mode();
-  const bool gpu_ok = gpu_supported(desc);
-  const OperandRegions regions = gemm_regions(desc, a, b, c);
-  const Decision decision = plan_locked(desc, gpu_ok, regions);
-  BucketKey key = bucket_key(desc);
-  key.residency = decision.residency;
-  if (decision.route == Route::Gpu) {
-    GpuJob job =
-        enqueue_gemm_gpu_locked<T, S>(decision, desc, alpha, a, b, beta, c);
+  const OperandRegions regions = operand_regions(call);
+  const Decision decision = plan_locked(desc, gpu_supported(desc), regions);
+  if (decision.route == Route::Gpu || decision.route == Route::GpuEmulated) {
+    GpuJob job = enqueue_gpu_locked(decision, call);
     finish_gpu_job_locked(job, /*overlapped=*/false);
-  } else if (decision.route == Route::GpuEmulated) {
-    // Only fp64 traffic is ever emulation-eligible, so this branch is
-    // unreachable for other T; the constexpr guard keeps those
-    // instantiations from referencing the double-only enqueue path.
-    if constexpr (std::is_same_v<T, double>) {
-      GpuJob job =
-          enqueue_gemm_emulated_gpu_locked(decision, desc, alpha, a, b, beta,
-                                           c);
-      finish_gpu_job_locked(job, /*overlapped=*/false);
+  } else {
+    run_cpu_locked(decision, call, regions.c);
+  }
+}
+
+void Dispatcher::run_cpu(const Decision& decision, const Call& call) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (call.desc.m <= 0 || call.desc.n <= 0) return;
+  run_cpu_locked(decision, call, operand_regions(call).c);
+}
+
+void Dispatcher::run_cpu_locked(const Decision& decision, const Call& call,
+                                const Region& out) {
+  BucketKey key = bucket_key(call.desc);
+  key.residency = decision.residency;
+  ensure_seeded(key, call.desc);
+  cpu_exec(call);
+  note_host_output_locked(out);
+  account_and_observe(call.desc, key, decision, cpu_cost(call.desc), 1);
+}
+
+void Dispatcher::run_coalesced(const std::vector<const Call*>& members) {
+  obs::Span span("dispatch.coalesced_batch", obs::Category::Dispatch);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (members.empty()) return;
+  const Call& head = *members.front();
+  const core::OpDesc& desc = head.desc;
+  if (desc.m <= 0 || desc.n <= 0) return;
+  const int batch = static_cast<int>(members.size());
+  const BucketKey key = bucket_key(desc);
+  ensure_seeded(key, desc);
+
+  visit_precision(desc.precision, [&](auto tag) {
+    using T = decltype(tag);
+    if constexpr (kIsHalf<T>) {
+      throw std::invalid_argument("Dispatcher: half calls do not coalesce");
+    } else {
+      std::vector<const T*> as, bs;
+      std::vector<T*> cs;
+      for (const Call* call : members) {
+        as.push_back(static_cast<const T*>(call->a));
+        bs.push_back(static_cast<const T*>(call->b));
+        cs.push_back(static_cast<T*>(call->c));
+      }
+      const auto alpha = static_cast<T>(head.alpha);
+      const auto beta = static_cast<T>(head.beta);
+      const auto m = static_cast<int>(desc.m);
+      const auto n = static_cast<int>(desc.n);
+      const auto lda = static_cast<int>(desc.lda);
+      if (desc.op == core::KernelOp::Gemm) {
+        blas::gemm_batched<T>(desc.trans_a, desc.trans_b, m, n,
+                              static_cast<int>(desc.k), alpha, as.data(), lda,
+                              bs.data(), static_cast<int>(desc.ldb), beta,
+                              cs.data(), static_cast<int>(desc.ldc), batch,
+                              cpu_->pool(), cpu_->max_threads());
+      } else {
+        blas::gemv_batched<T>(desc.trans_a, m, n, alpha, as.data(), lda,
+                              bs.data(), static_cast<int>(desc.incx), beta,
+                              cs.data(), static_cast<int>(desc.incy), batch,
+                              cpu_->pool(), cpu_->max_threads());
+      }
     }
-  } else {
-    cpu_exec_gemm<T, S>(desc, alpha, a, b, beta, c);
-    note_host_output_locked(regions.c);
-    account_and_observe(desc, key, decision, cpu_cost(desc), 1);
-  }
-}
-
-template <typename T, typename S>
-void Dispatcher::dispatch_gemv(core::OpDesc desc, S alpha, const T* a,
-                               const T* x, S beta, T* y) {
-  obs::Span span("dispatch.gemv", obs::Category::Dispatch);
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (desc.m <= 0 || desc.n <= 0) return;
-  desc.mode = effective_mode();
-  const bool gpu_ok = gpu_supported(desc);
-  const OperandRegions regions = gemv_regions(desc, a, x, y);
-  const Decision decision = plan_locked(desc, gpu_ok, regions);
-  BucketKey key = bucket_key(desc);
-  key.residency = decision.residency;
-  if (decision.route == Route::Gpu) {
-    GpuJob job =
-        enqueue_gemv_gpu_locked<T, S>(decision, desc, alpha, a, x, beta, y);
-    finish_gpu_job_locked(job, /*overlapped=*/false);
-  } else {
-    cpu_exec_gemv<T, S>(desc, alpha, a, x, beta, y);
-    note_host_output_locked(regions.c);
-    account_and_observe(desc, key, decision, cpu_cost(desc), 1);
-  }
-}
-
-template <typename T, typename S>
-void Dispatcher::run_gemm_cpu(const Decision& decision,
-                              const core::OpDesc& desc, S alpha, const T* a,
-                              const T* b, S beta, T* c) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (desc.m <= 0 || desc.n <= 0) return;
-  BucketKey key = bucket_key(desc);
-  key.residency = decision.residency;
-  ensure_seeded(key, desc);
-  cpu_exec_gemm<T, S>(desc, alpha, a, b, beta, c);
-  note_host_output_locked(
-      matrix_region(c, sizeof(T), desc.ldc, desc.m, desc.n));
-  account_and_observe(desc, key, decision, cpu_cost(desc), 1);
-}
-
-template <typename T, typename S>
-void Dispatcher::run_gemv_cpu(const Decision& decision,
-                              const core::OpDesc& desc, S alpha, const T* a,
-                              const T* x, S beta, T* y) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (desc.m <= 0 || desc.n <= 0) return;
-  BucketKey key = bucket_key(desc);
-  key.residency = decision.residency;
-  ensure_seeded(key, desc);
-  cpu_exec_gemv<T, S>(desc, alpha, a, x, beta, y);
-  note_host_output_locked(
-      vector_region(y, sizeof(T), desc.y_len(), desc.incy));
-  account_and_observe(desc, key, decision, cpu_cost(desc), 1);
-}
-
-template <typename T>
-void Dispatcher::run_gemm_coalesced(const core::OpDesc& desc, T alpha,
-                                    const T* const* a, const T* const* b,
-                                    T beta, T* const* c, int batch) {
-  obs::Span span("dispatch.coalesced_batch", obs::Category::Dispatch);
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (desc.m <= 0 || desc.n <= 0 || batch <= 0) return;
-  const BucketKey key = bucket_key(desc);
-  ensure_seeded(key, desc);
-
-  blas::gemm_batched<T>(desc.trans_a, desc.trans_b,
-                        static_cast<int>(desc.m), static_cast<int>(desc.n),
-                        static_cast<int>(desc.k), alpha, a,
-                        static_cast<int>(desc.lda), b,
-                        static_cast<int>(desc.ldb), beta, c,
-                        static_cast<int>(desc.ldc), batch, cpu_->pool(),
-                        cpu_->max_threads());
-  for (int i = 0; i < batch; ++i) {
-    note_host_output_locked(
-        matrix_region(c[i], sizeof(T), desc.ldc, desc.m, desc.n));
-  }
-
-  core::OpDesc batched = desc;
-  batched.batch = batch;
-  const double cost = model_.cpu_time(batched, /*iterations=*/1);
-
-  Decision decision;
-  decision.route = Route::CpuBatched;
-  decision.reason = Reason::Coalesced;
-  if (const BucketState* state = table_.find(key)) {
-    decision.cpu_est_s = state->cpu.ewma_s;
-    decision.gpu_est_s = state->gpu.ewma_s;
-  }
-  account_and_observe(desc, key, decision, cost, batch);
-}
-
-template <typename T>
-void Dispatcher::run_gemv_coalesced(const core::OpDesc& desc, T alpha,
-                                    const T* const* a, const T* const* x,
-                                    T beta, T* const* y, int batch) {
-  obs::Span span("dispatch.coalesced_batch", obs::Category::Dispatch);
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (desc.m <= 0 || desc.n <= 0 || batch <= 0) return;
-  const BucketKey key = bucket_key(desc);
-  ensure_seeded(key, desc);
-
-  blas::gemv_batched<T>(desc.trans_a, static_cast<int>(desc.m),
-                        static_cast<int>(desc.n), alpha, a,
-                        static_cast<int>(desc.lda), x,
-                        static_cast<int>(desc.incx), beta, y,
-                        static_cast<int>(desc.incy), batch, cpu_->pool(),
-                        cpu_->max_threads());
-  for (int i = 0; i < batch; ++i) {
-    note_host_output_locked(
-        vector_region(y[i], sizeof(T), desc.y_len(), desc.incy));
+  });
+  for (const Call* call : members) {
+    note_host_output_locked(operand_regions(*call).c);
   }
 
   core::OpDesc batched = desc;
@@ -811,11 +744,16 @@ void Dispatcher::place_managed_locked(sim::Buffer& buffer,
   }
 }
 
-template <typename T, typename S>
-Dispatcher::GpuJob Dispatcher::enqueue_gemm_gpu_locked(
-    const Decision& decision, const core::OpDesc& desc, S alpha, const T* a,
-    const T* b, S beta, T* c) {
+Dispatcher::GpuJob Dispatcher::enqueue_gpu(const Decision& decision,
+                                           const Call& call) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return enqueue_gpu_locked(decision, call);
+}
+
+Dispatcher::GpuJob Dispatcher::enqueue_gpu_locked(const Decision& decision,
+                                                  const Call& call) {
   obs::Span span("dispatch.gpu_enqueue", obs::Category::Dispatch);
+  const core::OpDesc& desc = call.desc;
   GpuJob job;
   job.active = true;
   job.decision = decision;
@@ -827,307 +765,72 @@ Dispatcher::GpuJob Dispatcher::enqueue_gemm_gpu_locked(
   job.submit_floor = std::max(s.tail(), device_.now());
 
   // Operands are staged tightly in their STORED shapes — the device
-  // kernels consume the same layouts the transposes describe.
-  const std::size_t es = sizeof(T);
-  const auto rows_a = desc.rows_a();
-  const auto cols_a = desc.cols_a();
-  const auto rows_b = desc.rows_b();
-  const auto cols_b = desc.cols_b();
-  const auto m = desc.m;
-  const auto n = desc.n;
-  const auto ab = es * static_cast<std::size_t>(rows_a) *
-                  static_cast<std::size_t>(cols_a);
-  const auto bb = es * static_cast<std::size_t>(rows_b) *
-                  static_cast<std::size_t>(cols_b);
-  const auto cb =
-      es * static_cast<std::size_t>(m) * static_cast<std::size_t>(n);
-  const OperandRegions regions = gemm_regions(desc, a, b, c);
+  // kernels consume the same layouts the transposes describe. GPU-BLOB
+  // uploads all three structures (paper §III-B2), so C crosses the link
+  // even when beta == 0 — matching the analytic cost exactly.
+  const std::size_t es = model::bytes_of(desc.precision);
+  const std::array<Dense, 3> shapes = dense_operands(desc);
+  const std::array<const void*, 3> host{call.a, call.b, call.c};
+  const OperandRegions regions = operand_regions(call);
+  const std::array<const Region*, 3> footprint{&regions.a, &regions.b,
+                                               &regions.c};
   job.out_region = regions.c;
-  const std::int64_t ldc = desc.ldc;
 
-  if (config_.residency == ResidencyPolicy::FirstTouch) {
-    // USM placement: operands live in managed memory and the kernel's
-    // page-migration model moves only what is not already resident.
-    sim::Buffer ma = device_.alloc_managed(ab);
-    sim::Buffer mb = device_.alloc_managed(bb);
-    sim::Buffer mc = device_.alloc_managed(cb);
-    pack_dense(ma.as<T>(), a, desc.lda, rows_a, cols_a);
-    pack_dense(mb.as<T>(), b, desc.ldb, rows_b, cols_b);
-    pack_dense(mc.as<T>(), c, desc.ldc, m, n);
-    place_managed_locked(ma, regions.a, job);
-    place_managed_locked(mb, regions.b, job);
-    place_managed_locked(mc, regions.c, job);
-    device_.gemm<T>(desc.trans_a, desc.trans_b, static_cast<int>(m),
-                    static_cast<int>(n), static_cast<int>(desc.k), alpha, ma,
-                    static_cast<int>(rows_a), mb, static_cast<int>(rows_b),
-                    beta, mc, static_cast<int>(m), &s);
-    // The host reads the result at the join; charge the page writeback
-    // on the stream so it lands inside this job's measured span
-    // (SimGpu::host_access_managed would charge the host clock instead).
-    s.enqueue(
-        device_.link_model().usm_writeback_time(static_cast<double>(cb)),
-        "usm-writeback");
-    job.done = s.tail();
-    T* staged = mc.as<T>();
-    job.unpack = [staged, c, ldc, m, n]() {
-      unpack_dense(c, ldc, staged, m, n);
-    };
-    job.buffers.reserve(3);
-    job.buffers.push_back(std::move(ma));
-    job.buffers.push_back(std::move(mb));
-    job.buffers.push_back(std::move(mc));
+  // FirstTouch places operands in managed memory, where the kernel's
+  // page-migration model moves only what is not already resident; the
+  // other policies stage through pinned host buffers and explicit DMA.
+  const bool managed = config_.residency == ResidencyPolicy::FirstTouch;
+  std::array<std::size_t, 3> bytes{};
+  job.buffers.reserve(6);  // no reallocation: references stay valid
+  for (std::size_t i = 0; i < 3; ++i) {
+    bytes[i] = shapes[i].bytes(es);
+    job.buffers.push_back(managed ? device_.alloc_managed(bytes[i])
+                                  : device_.alloc_host(bytes[i]));
+  }
+  for (std::size_t i = 0; i < 3; ++i) {
+    copy_dense(job.buffers[i].data(), shapes[i].rows, host[i], shapes[i].ld,
+               shapes[i], es);
+  }
+  if (managed) {
+    for (std::size_t i = 0; i < 3; ++i) {
+      place_managed_locked(job.buffers[i], *footprint[i], job);
+    }
   } else {
-    sim::Buffer ha = device_.alloc_host(ab);
-    sim::Buffer hb = device_.alloc_host(bb);
-    sim::Buffer hc = device_.alloc_host(cb);
-    pack_dense(ha.as<T>(), a, desc.lda, rows_a, cols_a);
-    pack_dense(hb.as<T>(), b, desc.ldb, rows_b, cols_b);
-    // GPU-BLOB uploads all three structures (paper §III-B2), so C crosses
-    // the link even when beta == 0 — matching the analytic cost exactly.
-    pack_dense(hc.as<T>(), c, desc.ldc, m, n);
-
-    sim::Buffer da = device_.alloc_device(ab);
-    sim::Buffer db = device_.alloc_device(bb);
-    sim::Buffer dc = device_.alloc_device(cb);
+    for (std::size_t i = 0; i < 3; ++i) {
+      job.buffers.push_back(device_.alloc_device(bytes[i]));
+    }
     // Each upload re-checks the tracker AT ENQUEUE TIME (not plan time),
     // so sequential enqueues within one queue cycle warm each other —
     // the second batch member sharing an A panel never re-charges it.
-    upload_operand_locked(s, da, ha, ab, regions.a, job);
-    upload_operand_locked(s, db, hb, bb, regions.b, job);
-    upload_operand_locked(s, dc, hc, cb, regions.c, job);
-    device_.gemm<T>(desc.trans_a, desc.trans_b, static_cast<int>(m),
-                    static_cast<int>(n), static_cast<int>(desc.k), alpha, da,
-                    static_cast<int>(rows_a), db, static_cast<int>(rows_b),
-                    beta, dc, static_cast<int>(m), &s);
-    device_.memcpy_d2h_async(s, hc, dc, cb);
-    job.done = s.tail();
-
-    // Buffer storage addresses are stable across Buffer moves, so the raw
-    // pointer captured here stays valid inside job.buffers.
-    T* staged = hc.as<T>();
-    job.unpack = [staged, c, ldc, m, n]() {
-      unpack_dense(c, ldc, staged, m, n);
-    };
-    job.buffers.reserve(6);
-    job.buffers.push_back(std::move(ha));
-    job.buffers.push_back(std::move(hb));
-    job.buffers.push_back(std::move(hc));
-    job.buffers.push_back(std::move(da));
-    job.buffers.push_back(std::move(db));
-    job.buffers.push_back(std::move(dc));
+    for (std::size_t i = 0; i < 3; ++i) {
+      upload_operand_locked(s, job.buffers[3 + i], job.buffers[i], bytes[i],
+                            *footprint[i], job);
+    }
   }
+  sim::Buffer* dev = job.buffers.data() + (managed ? 0 : 3);
+  launch_kernel(decision.route, call, dev[0], dev[1], dev[2], s);
+  if (managed) {
+    // The host reads the result at the join; charge the page writeback
+    // on the stream so it lands inside this job's measured span
+    // (SimGpu::host_access_managed would charge the host clock instead).
+    s.enqueue(device_.link_model().usm_writeback_time(
+                  static_cast<double>(bytes[2])),
+              "usm-writeback");
+  } else {
+    device_.memcpy_d2h_async(s, job.buffers[2], job.buffers[5], bytes[2]);
+  }
+  job.done = s.tail();
+
+  // Buffer storage addresses are stable across Buffer moves, so the raw
+  // pointer captured here stays valid inside job.buffers.
+  job.unpack = [staged = job.buffers[2].data(), out = call.c,
+                shape = shapes[2], es]() {
+    copy_dense(out, shape.ld, staged, shape.rows, shape, es);
+  };
   // The kernel overwrites the device copy of C: dirty until the result
   // is downloaded and unpacked at the join.
   if (tracking_enabled()) residency_.note_device_write(regions.c);
   return job;
-}
-
-Dispatcher::GpuJob Dispatcher::enqueue_gemm_emulated_gpu_locked(
-    const Decision& decision, const core::OpDesc& desc, double alpha,
-    const double* a, const double* b, double beta, double* c) {
-  obs::Span span("dispatch.gpu_enqueue", obs::Category::Dispatch);
-  GpuJob job;
-  job.active = true;
-  job.decision = decision;
-  job.desc = desc;
-  job.key = bucket_key(desc);
-  job.key.residency = decision.residency;
-
-  const int slices = blas::slices_for_budget(desc.budget);
-
-  sim::Stream& s = gpu_stream_;
-  job.submit_floor = std::max(s.tail(), device_.now());
-
-  // Staging is identical to the native GPU path — the operands cross the
-  // link as fp64 and are sliced on the device — so the measured span
-  // differs from the native arm exactly by the kernel term.
-  using T = double;
-  const std::size_t es = sizeof(T);
-  const auto rows_a = desc.rows_a();
-  const auto cols_a = desc.cols_a();
-  const auto rows_b = desc.rows_b();
-  const auto cols_b = desc.cols_b();
-  const auto m = desc.m;
-  const auto n = desc.n;
-  const auto ab = es * static_cast<std::size_t>(rows_a) *
-                  static_cast<std::size_t>(cols_a);
-  const auto bb = es * static_cast<std::size_t>(rows_b) *
-                  static_cast<std::size_t>(cols_b);
-  const auto cb =
-      es * static_cast<std::size_t>(m) * static_cast<std::size_t>(n);
-  const OperandRegions regions = gemm_regions(desc, a, b, c);
-  job.out_region = regions.c;
-  const std::int64_t ldc = desc.ldc;
-
-  if (config_.residency == ResidencyPolicy::FirstTouch) {
-    sim::Buffer ma = device_.alloc_managed(ab);
-    sim::Buffer mb = device_.alloc_managed(bb);
-    sim::Buffer mc = device_.alloc_managed(cb);
-    pack_dense(ma.as<T>(), a, desc.lda, rows_a, cols_a);
-    pack_dense(mb.as<T>(), b, desc.ldb, rows_b, cols_b);
-    pack_dense(mc.as<T>(), c, desc.ldc, m, n);
-    place_managed_locked(ma, regions.a, job);
-    place_managed_locked(mb, regions.b, job);
-    place_managed_locked(mc, regions.c, job);
-    device_.gemm_emulated(desc.trans_a, desc.trans_b, static_cast<int>(m),
-                          static_cast<int>(n), static_cast<int>(desc.k),
-                          alpha, ma, static_cast<int>(rows_a), mb,
-                          static_cast<int>(rows_b), beta, mc,
-                          static_cast<int>(m), slices, &s);
-    s.enqueue(
-        device_.link_model().usm_writeback_time(static_cast<double>(cb)),
-        "usm-writeback");
-    job.done = s.tail();
-    T* staged = mc.as<T>();
-    job.unpack = [staged, c, ldc, m, n]() {
-      unpack_dense(c, ldc, staged, m, n);
-    };
-    job.buffers.reserve(3);
-    job.buffers.push_back(std::move(ma));
-    job.buffers.push_back(std::move(mb));
-    job.buffers.push_back(std::move(mc));
-  } else {
-    sim::Buffer ha = device_.alloc_host(ab);
-    sim::Buffer hb = device_.alloc_host(bb);
-    sim::Buffer hc = device_.alloc_host(cb);
-    pack_dense(ha.as<T>(), a, desc.lda, rows_a, cols_a);
-    pack_dense(hb.as<T>(), b, desc.ldb, rows_b, cols_b);
-    pack_dense(hc.as<T>(), c, desc.ldc, m, n);
-
-    sim::Buffer da = device_.alloc_device(ab);
-    sim::Buffer db = device_.alloc_device(bb);
-    sim::Buffer dc = device_.alloc_device(cb);
-    upload_operand_locked(s, da, ha, ab, regions.a, job);
-    upload_operand_locked(s, db, hb, bb, regions.b, job);
-    upload_operand_locked(s, dc, hc, cb, regions.c, job);
-    device_.gemm_emulated(desc.trans_a, desc.trans_b, static_cast<int>(m),
-                          static_cast<int>(n), static_cast<int>(desc.k),
-                          alpha, da, static_cast<int>(rows_a), db,
-                          static_cast<int>(rows_b), beta, dc,
-                          static_cast<int>(m), slices, &s);
-    device_.memcpy_d2h_async(s, hc, dc, cb);
-    job.done = s.tail();
-
-    T* staged = hc.as<T>();
-    job.unpack = [staged, c, ldc, m, n]() {
-      unpack_dense(c, ldc, staged, m, n);
-    };
-    job.buffers.reserve(6);
-    job.buffers.push_back(std::move(ha));
-    job.buffers.push_back(std::move(hb));
-    job.buffers.push_back(std::move(hc));
-    job.buffers.push_back(std::move(da));
-    job.buffers.push_back(std::move(db));
-    job.buffers.push_back(std::move(dc));
-  }
-  if (tracking_enabled()) residency_.note_device_write(regions.c);
-  return job;
-}
-
-template <typename T, typename S>
-Dispatcher::GpuJob Dispatcher::enqueue_gemv_gpu_locked(
-    const Decision& decision, const core::OpDesc& desc, S alpha, const T* a,
-    const T* x, S beta, T* y) {
-  obs::Span span("dispatch.gpu_enqueue", obs::Category::Dispatch);
-  GpuJob job;
-  job.active = true;
-  job.decision = decision;
-  job.desc = desc;
-  job.key = bucket_key(desc);
-  job.key.residency = decision.residency;
-
-  sim::Stream& s = gpu_stream_;
-  job.submit_floor = std::max(s.tail(), device_.now());
-
-  const std::size_t es = sizeof(T);
-  const auto m = desc.m;
-  const auto n = desc.n;
-  const auto ab =
-      es * static_cast<std::size_t>(m) * static_cast<std::size_t>(n);
-  const auto xb = es * static_cast<std::size_t>(desc.x_len());
-  const auto yb = es * static_cast<std::size_t>(desc.y_len());
-  const OperandRegions regions = gemv_regions(desc, a, x, y);
-  job.out_region = regions.c;
-
-  if (config_.residency == ResidencyPolicy::FirstTouch) {
-    sim::Buffer ma = device_.alloc_managed(ab);
-    sim::Buffer mx = device_.alloc_managed(xb);
-    sim::Buffer my = device_.alloc_managed(yb);
-    pack_dense(ma.as<T>(), a, desc.lda, m, n);
-    std::memcpy(mx.data(), x, xb);
-    std::memcpy(my.data(), y, yb);
-    place_managed_locked(ma, regions.a, job);
-    place_managed_locked(mx, regions.b, job);
-    place_managed_locked(my, regions.c, job);
-    device_.gemv<T>(desc.trans_a, static_cast<int>(m), static_cast<int>(n),
-                    alpha, ma, static_cast<int>(m), mx, beta, my, &s);
-    s.enqueue(
-        device_.link_model().usm_writeback_time(static_cast<double>(yb)),
-        "usm-writeback");
-    job.done = s.tail();
-    T* staged = my.as<T>();
-    job.unpack = [staged, y, yb]() { std::memcpy(y, staged, yb); };
-    job.buffers.reserve(3);
-    job.buffers.push_back(std::move(ma));
-    job.buffers.push_back(std::move(mx));
-    job.buffers.push_back(std::move(my));
-  } else {
-    sim::Buffer ha = device_.alloc_host(ab);
-    sim::Buffer hx = device_.alloc_host(xb);
-    sim::Buffer hy = device_.alloc_host(yb);
-    pack_dense(ha.as<T>(), a, desc.lda, m, n);
-    std::memcpy(hx.data(), x, xb);
-    std::memcpy(hy.data(), y, yb);
-
-    sim::Buffer da = device_.alloc_device(ab);
-    sim::Buffer dx = device_.alloc_device(xb);
-    sim::Buffer dy = device_.alloc_device(yb);
-    upload_operand_locked(s, da, ha, ab, regions.a, job);
-    upload_operand_locked(s, dx, hx, xb, regions.b, job);
-    upload_operand_locked(s, dy, hy, yb, regions.c, job);
-    device_.gemv<T>(desc.trans_a, static_cast<int>(m), static_cast<int>(n),
-                    alpha, da, static_cast<int>(m), dx, beta, dy, &s);
-    device_.memcpy_d2h_async(s, hy, dy, yb);
-    job.done = s.tail();
-
-    T* staged = hy.as<T>();
-    job.unpack = [staged, y, yb]() { std::memcpy(y, staged, yb); };
-    job.buffers.reserve(6);
-    job.buffers.push_back(std::move(ha));
-    job.buffers.push_back(std::move(hx));
-    job.buffers.push_back(std::move(hy));
-    job.buffers.push_back(std::move(da));
-    job.buffers.push_back(std::move(dx));
-    job.buffers.push_back(std::move(dy));
-  }
-  if (tracking_enabled()) residency_.note_device_write(regions.c);
-  return job;
-}
-
-template <typename T, typename S>
-Dispatcher::GpuJob Dispatcher::enqueue_gemm_gpu(const Decision& decision,
-                                                const core::OpDesc& desc,
-                                                S alpha, const T* a,
-                                                const T* b, S beta, T* c) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return enqueue_gemm_gpu_locked<T, S>(decision, desc, alpha, a, b, beta, c);
-}
-
-template <typename T, typename S>
-Dispatcher::GpuJob Dispatcher::enqueue_gemv_gpu(const Decision& decision,
-                                                const core::OpDesc& desc,
-                                                S alpha, const T* a,
-                                                const T* x, S beta, T* y) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return enqueue_gemv_gpu_locked<T, S>(decision, desc, alpha, a, x, beta, y);
-}
-
-Dispatcher::GpuJob Dispatcher::enqueue_gemm_emulated_gpu(
-    const Decision& decision, const core::OpDesc& desc, double alpha,
-    const double* a, const double* b, double beta, double* c) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return enqueue_gemm_emulated_gpu_locked(decision, desc, alpha, a, b, beta,
-                                          c);
 }
 
 void Dispatcher::finish_gpu_job_locked(GpuJob& job, bool overlapped) {
@@ -1226,92 +929,5 @@ LoadStatus Dispatcher::load_calibration(const std::string& path) {
   }
   return result.status;
 }
-
-// -- explicit instantiations -------------------------------------------------
-
-template void Dispatcher::run_gemm<float, float>(const core::OpDesc&, float,
-                                                 const float*, const float*,
-                                                 float, float*);
-template void Dispatcher::run_gemm<double, double>(const core::OpDesc&,
-                                                   double, const double*,
-                                                   const double*, double,
-                                                   double*);
-template void Dispatcher::run_gemm<blas::f16, float>(const core::OpDesc&,
-                                                     float, const blas::f16*,
-                                                     const blas::f16*, float,
-                                                     blas::f16*);
-template void Dispatcher::run_gemm<blas::bf16, float>(
-    const core::OpDesc&, float, const blas::bf16*, const blas::bf16*, float,
-    blas::bf16*);
-template void Dispatcher::run_gemv<float, float>(const core::OpDesc&, float,
-                                                 const float*, const float*,
-                                                 float, float*);
-template void Dispatcher::run_gemv<double, double>(const core::OpDesc&,
-                                                   double, const double*,
-                                                   const double*, double,
-                                                   double*);
-template void Dispatcher::run_gemv<blas::f16, float>(const core::OpDesc&,
-                                                     float, const blas::f16*,
-                                                     const blas::f16*, float,
-                                                     blas::f16*);
-template void Dispatcher::run_gemv<blas::bf16, float>(
-    const core::OpDesc&, float, const blas::bf16*, const blas::bf16*, float,
-    blas::bf16*);
-template void Dispatcher::run_gemm_cpu<float, float>(const Decision&,
-                                                     const core::OpDesc&,
-                                                     float, const float*,
-                                                     const float*, float,
-                                                     float*);
-template void Dispatcher::run_gemm_cpu<double, double>(const Decision&,
-                                                       const core::OpDesc&,
-                                                       double, const double*,
-                                                       const double*, double,
-                                                       double*);
-template void Dispatcher::run_gemv_cpu<float, float>(const Decision&,
-                                                     const core::OpDesc&,
-                                                     float, const float*,
-                                                     const float*, float,
-                                                     float*);
-template void Dispatcher::run_gemv_cpu<double, double>(const Decision&,
-                                                       const core::OpDesc&,
-                                                       double, const double*,
-                                                       const double*, double,
-                                                       double*);
-template void Dispatcher::run_gemm_coalesced<float>(const core::OpDesc&,
-                                                    float,
-                                                    const float* const*,
-                                                    const float* const*,
-                                                    float, float* const*,
-                                                    int);
-template void Dispatcher::run_gemm_coalesced<double>(const core::OpDesc&,
-                                                     double,
-                                                     const double* const*,
-                                                     const double* const*,
-                                                     double, double* const*,
-                                                     int);
-template void Dispatcher::run_gemv_coalesced<float>(const core::OpDesc&,
-                                                    float,
-                                                    const float* const*,
-                                                    const float* const*,
-                                                    float, float* const*,
-                                                    int);
-template void Dispatcher::run_gemv_coalesced<double>(const core::OpDesc&,
-                                                     double,
-                                                     const double* const*,
-                                                     const double* const*,
-                                                     double, double* const*,
-                                                     int);
-template Dispatcher::GpuJob Dispatcher::enqueue_gemm_gpu<float, float>(
-    const Decision&, const core::OpDesc&, float, const float*, const float*,
-    float, float*);
-template Dispatcher::GpuJob Dispatcher::enqueue_gemm_gpu<double, double>(
-    const Decision&, const core::OpDesc&, double, const double*,
-    const double*, double, double*);
-template Dispatcher::GpuJob Dispatcher::enqueue_gemv_gpu<float, float>(
-    const Decision&, const core::OpDesc&, float, const float*, const float*,
-    float, float*);
-template Dispatcher::GpuJob Dispatcher::enqueue_gemv_gpu<double, double>(
-    const Decision&, const core::OpDesc&, double, const double*,
-    const double*, double, double*);
 
 }  // namespace blob::dispatch

@@ -22,8 +22,17 @@
 // fold a deterministically-noised observation back into the EWMA, and
 // record the whole decision in the trace ring.
 //
-// The dispatcher serialises calls with an internal mutex; concurrency is
-// the AdmissionQueue's job (many producers, one draining consumer).
+// Every front door ends in ONE execution path: the cblas hook, the
+// typed run_* entry points, the AdmissionQueue and the serve fleet all
+// hand over a Call (descriptor + scalars + borrowed operands), which is
+// planned, then either run by the CPU leaf or staged through the single
+// GPU pipeline (operand regions -> residency-aware upload or managed
+// placement -> kernel -> download or USM writeback). Only the CPU
+// kernels and the device kernel launch are op- and type-specific.
+//
+// The dispatcher serialises calls with an internal mutex, so any number
+// of threads may call it; the AdmissionQueue adds batching and overlap
+// on top and keeps each producer's order on shared buffers.
 
 #include <cstdint>
 #include <functional>
@@ -31,6 +40,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "blas/cblas.hpp"
@@ -96,6 +106,58 @@ struct DispatcherConfig {
   std::string nspace;
 };
 
+/// One BLAS call as every front door hands it over: the descriptor, the
+/// scalars (held as double; float round-trips losslessly) and borrowed
+/// operands — B for GEMM, x for GEMV; C or y is the output. The queued
+/// front doors build it on the PRODUCER's thread, so the descriptor
+/// carries that thread's cblas error budget across the hop to a worker
+/// whose own thread-local slot is always exact.
+struct Call {
+  core::OpDesc desc;
+  double alpha = 1.0;
+  double beta = 0.0;
+  const void* a = nullptr;
+  const void* b = nullptr;
+  void* c = nullptr;
+
+  /// Lower raw f32/f64 BLAS arguments (validates dims, stamps `mode` and
+  /// the calling thread's error budget).
+  template <typename T>
+  static Call gemm(blas::Transpose ta, blas::Transpose tb, int m, int n,
+                   int k, T alpha, const T* a, int lda, const T* b, int ldb,
+                   T beta, T* c, int ldc, core::TransferMode mode) {
+    Call call{core::OpDesc::gemm(precision<T>(), ta, tb, m, n, k, lda, ldb,
+                                 ldc, alpha == T(1), beta == T(0), mode),
+              static_cast<double>(alpha), static_cast<double>(beta), a, b,
+              c};
+    call.desc.budget = blas::cblas_error_budget();
+    return call;
+  }
+  template <typename T>
+  static Call gemv(blas::Transpose ta, int m, int n, T alpha, const T* a,
+                   int lda, const T* x, int incx, T beta, T* y, int incy,
+                   core::TransferMode mode) {
+    Call call{core::OpDesc::gemv(precision<T>(), ta, m, n, lda, incx, incy,
+                                 alpha == T(1), beta == T(0), mode),
+              static_cast<double>(alpha), static_cast<double>(beta), a, x,
+              y};
+    call.desc.budget = blas::cblas_error_budget();
+    return call;
+  }
+
+ private:
+  template <typename T>
+  static constexpr model::Precision precision() {
+    static_assert(std::is_same_v<T, float> || std::is_same_v<T, double>);
+    return std::is_same_v<T, float> ? model::Precision::F32
+                                    : model::Precision::F64;
+  }
+};
+
+/// Host operand footprints of one call in STORED shapes: A, B or x, C or
+/// y (vectors follow their increments; element size follows precision).
+OperandRegions operand_regions(const Call& call);
+
 class Dispatcher final : public blas::CblasDispatchHook {
  public:
   explicit Dispatcher(DispatcherConfig config = {});
@@ -128,21 +190,37 @@ class Dispatcher final : public blas::CblasDispatchHook {
 
   // -- CblasDispatchHook (return true = call handled) ----------------------
   bool gemm(const core::OpDesc& desc, float alpha, const float* a,
-            const float* b, float beta, float* c) override;
+            const float* b, float beta, float* c) override {
+    return hook(desc, alpha, a, b, beta, c);
+  }
   bool gemm(const core::OpDesc& desc, double alpha, const double* a,
-            const double* b, double beta, double* c) override;
+            const double* b, double beta, double* c) override {
+    return hook(desc, alpha, a, b, beta, c);
+  }
   bool gemv(const core::OpDesc& desc, float alpha, const float* a,
-            const float* x, float beta, float* y) override;
+            const float* x, float beta, float* y) override {
+    return hook(desc, alpha, a, x, beta, y);
+  }
   bool gemv(const core::OpDesc& desc, double alpha, const double* a,
-            const double* x, double beta, double* y) override;
+            const double* x, double beta, double* y) override {
+    return hook(desc, alpha, a, x, beta, y);
+  }
   bool gemm(const core::OpDesc& desc, float alpha, const blas::f16* a,
-            const blas::f16* b, float beta, blas::f16* c) override;
+            const blas::f16* b, float beta, blas::f16* c) override {
+    return hook(desc, alpha, a, b, beta, c);
+  }
   bool gemm(const core::OpDesc& desc, float alpha, const blas::bf16* a,
-            const blas::bf16* b, float beta, blas::bf16* c) override;
+            const blas::bf16* b, float beta, blas::bf16* c) override {
+    return hook(desc, alpha, a, b, beta, c);
+  }
   bool gemv(const core::OpDesc& desc, float alpha, const blas::f16* a,
-            const blas::f16* x, float beta, blas::f16* y) override;
+            const blas::f16* x, float beta, blas::f16* y) override {
+    return hook(desc, alpha, a, x, beta, y);
+  }
   bool gemv(const core::OpDesc& desc, float alpha, const blas::bf16* a,
-            const blas::bf16* x, float beta, blas::bf16* y) override;
+            const blas::bf16* x, float beta, blas::bf16* y) override {
+    return hook(desc, alpha, a, x, beta, y);
+  }
 
   /// Host stores outside the seam (factorization panel kernels, pivot
   /// interchanges). host_write invalidates the touched chunks; host_swap
@@ -154,45 +232,35 @@ class Dispatcher final : public blas::CblasDispatchHook {
   void host_swap(const void* pa, const void* pb, std::size_t chunk_bytes,
                  std::size_t stride_bytes, std::size_t count) override;
 
-  // -- direct typed entry points (used by the admission queue) -------------
-  // S is the scalar type: T for f32/f64, float for f16/bf16.
-  template <typename T, typename S>
-  void run_gemm(const core::OpDesc& desc, S alpha, const T* a, const T* b,
-                S beta, T* c);
-  template <typename T, typename S>
-  void run_gemv(const core::OpDesc& desc, S alpha, const T* a, const T* x,
-                S beta, T* y);
+  // -- the execution path (any op, any precision) --------------------------
+
+  /// Plan and execute one call synchronously (the descriptor's transfer
+  /// mode is re-derived from the residency policy).
+  void run(Call call);
+
+  /// Decide the route for a call without executing (seeds the bucket if
+  /// needed); regions come from the call's operands.
+  Decision plan(const Call& call);
+
+  /// Decide the route for `desc` without executing (seeds the bucket if
+  /// needed). Used by the queue to learn whether a call goes to the GPU
+  /// (overlap-eligible) before committing work. `regions` are the host
+  /// operand footprints; with an active residency policy they classify
+  /// the call cold/warm and price only the bytes that must move (an
+  /// empty OperandRegions classifies as cold).
+  Decision plan(const core::OpDesc& desc, bool gpu_ok,
+                const OperandRegions& regions = {});
 
   /// Execute a call on the CPU under a decision already made by plan()
   /// (the admission queue plans first to learn which calls can overlap
-  /// with GPU work, then executes). Accounts + observes like dispatch.
-  template <typename T, typename S>
-  void run_gemm_cpu(const Decision& decision, const core::OpDesc& desc,
-                    S alpha, const T* a, const T* b, S beta, T* c);
-  template <typename T, typename S>
-  void run_gemv_cpu(const Decision& decision, const core::OpDesc& desc,
-                    S alpha, const T* a, const T* x, S beta, T* y);
+  /// with GPU work, then executes). Accounts + observes like run().
+  void run_cpu(const Decision& decision, const Call& call);
 
-  /// A batch of same-shape small GEMMs coalesced by the admission queue:
-  /// executed as one blas::gemm_batched submission, charged the modelled
+  /// Same-shape small calls coalesced by the admission queue (every
+  /// member shares desc, alpha and beta; f32/f64 only): executed as one
+  /// blas::gemm_batched / gemv_batched submission, charged the modelled
   /// amortised batched cost, observed into the CPU arm of the bucket.
-  /// `desc` describes ONE member call (batch handling is internal).
-  template <typename T>
-  void run_gemm_coalesced(const core::OpDesc& desc, T alpha,
-                          const T* const* a, const T* const* b, T beta,
-                          T* const* c, int batch);
-
-  /// A batch of same-shape small GEMVs coalesced by the admission queue:
-  /// executed as one blas::gemv_batched submission (across-batch
-  /// parallelism), charged the modelled amortised batched-GEMV cost,
-  /// observed into the CPU arm of the bucket. `desc` describes ONE
-  /// member call (batch handling is internal).
-  template <typename T>
-  void run_gemv_coalesced(const core::OpDesc& desc, T alpha,
-                          const T* const* a, const T* const* x, T beta,
-                          T* const* y, int batch);
-
-  // -- asynchronous GPU submission (admission-queue overlap path) ----------
+  void run_coalesced(const std::vector<const Call*>& members);
 
   /// A GPU call in flight on the dispatch stream. Buffers stay alive and
   /// the client's output is written only at finish_gpu_job().
@@ -211,38 +279,49 @@ class Dispatcher final : public blas::CblasDispatchHook {
     Region out_region;         ///< client output footprint (C or y)
   };
 
-  /// Decide the route for `desc` without executing (seeds the bucket if
-  /// needed). Used by the queue to learn whether a call goes to the GPU
-  /// (overlap-eligible) before committing work. `regions` are the host
-  /// operand footprints; with an active residency policy they classify
-  /// the call cold/warm and price only the bytes that must move (an
-  /// empty OperandRegions classifies as cold).
-  Decision plan(const core::OpDesc& desc, bool gpu_ok,
-                const OperandRegions& regions = {});
-
-  /// Enqueue a GPU-routed GEMM/GEMV on the dispatch stream and return
-  /// without synchronising; the caller overlaps CPU work and later calls
-  /// finish_gpu_job(). `decision` must come from plan() for this desc.
-  template <typename T, typename S>
-  GpuJob enqueue_gemm_gpu(const Decision& decision, const core::OpDesc& desc,
-                          S alpha, const T* a, const T* b, S beta, T* c);
-  template <typename T, typename S>
-  GpuJob enqueue_gemv_gpu(const Decision& decision, const core::OpDesc& desc,
-                          S alpha, const T* a, const T* x, S beta, T* y);
-
-  /// Enqueue an EMULATED-fp64-routed GEMM: identical staging and link
-  /// traffic to enqueue_gemm_gpu<double>, but the kernel runs the fp32
-  /// slice assembly (slice count derived from desc.budget). `decision`
-  /// must carry Route::GpuEmulated from plan() for this desc.
-  GpuJob enqueue_gemm_emulated_gpu(const Decision& decision,
-                                   const core::OpDesc& desc, double alpha,
-                                   const double* a, const double* b,
-                                   double beta, double* c);
+  /// Stage a GPU-routed call on the dispatch stream and return without
+  /// synchronising; the caller overlaps CPU work and later calls
+  /// finish_gpu_job(). `decision` must come from plan() for this call:
+  /// Route::GpuEmulated runs the fp32-slice kernel (slice count from the
+  /// budget) behind the same staging and link traffic as Route::Gpu.
+  GpuJob enqueue_gpu(const Decision& decision, const Call& call);
 
   /// Join a pending GPU job: advance the virtual clock to its completion,
   /// write the output back to the client buffer, account + observe.
   /// `overlapped` marks that CPU work ran while the job was in flight.
   void finish_gpu_job(GpuJob& job, bool overlapped = false);
+
+  // -- typed forwards (S is T for f32/f64, float for f16/bf16) -------------
+  template <typename T, typename S>
+  void run_gemm(const core::OpDesc& desc, S alpha, const T* a, const T* b,
+                S beta, T* c) {
+    run(Call{desc, alpha, beta, a, b, c});
+  }
+  template <typename T, typename S>
+  void run_gemv(const core::OpDesc& desc, S alpha, const T* a, const T* x,
+                S beta, T* y) {
+    run(Call{desc, alpha, beta, a, x, y});
+  }
+  template <typename T, typename S>
+  void run_gemm_cpu(const Decision& decision, const core::OpDesc& desc,
+                    S alpha, const T* a, const T* b, S beta, T* c) {
+    run_cpu(decision, Call{desc, alpha, beta, a, b, c});
+  }
+  template <typename T, typename S>
+  void run_gemv_cpu(const Decision& decision, const core::OpDesc& desc,
+                    S alpha, const T* a, const T* x, S beta, T* y) {
+    run_cpu(decision, Call{desc, alpha, beta, a, x, y});
+  }
+  template <typename T, typename S>
+  GpuJob enqueue_gemm_gpu(const Decision& decision, const core::OpDesc& desc,
+                          S alpha, const T* a, const T* b, S beta, T* c) {
+    return enqueue_gpu(decision, Call{desc, alpha, beta, a, b, c});
+  }
+  template <typename T, typename S>
+  GpuJob enqueue_gemv_gpu(const Decision& decision, const core::OpDesc& desc,
+                          S alpha, const T* a, const T* x, S beta, T* y) {
+    return enqueue_gpu(decision, Call{desc, alpha, beta, a, x, y});
+  }
 
   // -- cost oracle ---------------------------------------------------------
 
@@ -300,20 +379,18 @@ class Dispatcher final : public blas::CblasDispatchHook {
 
  private:
   template <typename T, typename S>
-  void dispatch_gemm(core::OpDesc desc, S alpha, const T* a, const T* b,
-                     S beta, T* c);
-  template <typename T, typename S>
-  void dispatch_gemv(core::OpDesc desc, S alpha, const T* a, const T* x,
-                     S beta, T* y);
+  bool hook(const core::OpDesc& desc, S alpha, const T* a, const T* b,
+            S beta, T* c) {
+    run(Call{desc, alpha, beta, a, b, c});
+    return true;
+  }
 
-  /// CPU-side execution of one call: the CPU library for f32/f64,
-  /// blas::hgemm/hgemv (f32 accumulate) for the half precisions.
-  template <typename T, typename S>
-  void cpu_exec_gemm(const core::OpDesc& desc, S alpha, const T* a,
-                     const T* b, S beta, T* c);
-  template <typename T, typename S>
-  void cpu_exec_gemv(const core::OpDesc& desc, S alpha, const T* a,
-                     const T* x, S beta, T* y);
+  /// The op- and type-specific leaves: CPU execution (the CPU library for
+  /// f32/f64, blas::hgemm/hgemv with f32 accumulate for the half
+  /// precisions) and the device kernel launch on staged buffers.
+  void cpu_exec(const Call& call);
+  void launch_kernel(Route route, const Call& call, sim::Buffer& a,
+                     sim::Buffer& b, sim::Buffer& c, sim::Stream& stream);
 
   /// Seed + choose under mutex_ (callers hold the lock).
   Decision plan_locked(const core::OpDesc& desc, bool gpu_ok,
@@ -353,19 +430,9 @@ class Dispatcher final : public blas::CblasDispatchHook {
   void count_residency_hit();
   void count_residency_miss();
 
-  template <typename T, typename S>
-  GpuJob enqueue_gemm_gpu_locked(const Decision& decision,
-                                 const core::OpDesc& desc, S alpha,
-                                 const T* a, const T* b, S beta, T* c);
-  template <typename T, typename S>
-  GpuJob enqueue_gemv_gpu_locked(const Decision& decision,
-                                 const core::OpDesc& desc, S alpha,
-                                 const T* a, const T* x, S beta, T* y);
-  GpuJob enqueue_gemm_emulated_gpu_locked(const Decision& decision,
-                                          const core::OpDesc& desc,
-                                          double alpha, const double* a,
-                                          const double* b, double beta,
-                                          double* c);
+  void run_cpu_locked(const Decision& decision, const Call& call,
+                      const Region& out);
+  GpuJob enqueue_gpu_locked(const Decision& decision, const Call& call);
   void finish_gpu_job_locked(GpuJob& job, bool overlapped);
 
   /// CPU-side modelled cost of one call (noise-free).

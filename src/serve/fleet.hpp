@@ -18,8 +18,8 @@
 //
 // A 1-device fleet is bit-identical to a lone Dispatcher fed the same
 // calls in the same order: the router degenerates to "device 0", the
-// worker replays submissions FIFO through the same run_gemm/run_gemv
-// entry points, and device id 0 keeps the legacy noise streams.
+// worker replays submissions FIFO through the same Dispatcher::run entry
+// point, and device id 0 keeps the legacy noise streams.
 
 #include <atomic>
 #include <condition_variable>
@@ -98,18 +98,25 @@ class DeviceFleet {
 
   // -- asynchronous submission (thread-safe) -------------------------------
   // The caller keeps all operand buffers alive and un-aliased until the
-  // returned future resolves. T is float or double.
+  // returned future resolves. T is float or double. The calling thread's
+  // error budget travels with the request.
   template <typename T>
   std::future<ServeResult> submit_gemm(RequestClass cls, blas::Transpose ta,
                                        blas::Transpose tb, int m, int n,
                                        int k, T alpha, const T* a, int lda,
                                        const T* b, int ldb, T beta, T* c,
-                                       int ldc);
+                                       int ldc) {
+    return admit(cls, dispatch::Call::gemm<T>(ta, tb, m, n, k, alpha, a, lda,
+                                              b, ldb, beta, c, ldc, mode()));
+  }
   template <typename T>
   std::future<ServeResult> submit_gemv(RequestClass cls, blas::Transpose ta,
                                        int m, int n, T alpha, const T* a,
                                        int lda, const T* x, int incx, T beta,
-                                       T* y, int incy);
+                                       T* y, int incy) {
+    return admit(cls, dispatch::Call::gemv<T>(ta, m, n, alpha, a, lda, x,
+                                              incx, beta, y, incy, mode()));
+  }
 
   /// Block until every admitted request has resolved (completed or shed).
   void flush();
@@ -145,11 +152,14 @@ class DeviceFleet {
     std::thread worker;
   };
 
-  std::future<ServeResult> admit(ServeRequest request);
+  /// Transfer mode stamped at submit. Every device shares the base
+  /// config's residency policy, so device 0 speaks for all of them.
+  [[nodiscard]] core::TransferMode mode() const {
+    return devices_.front()->dispatcher->effective_mode();
+  }
+  std::future<ServeResult> admit(RequestClass cls, dispatch::Call call);
   void worker_loop(std::size_t device);
   void process(PerDevice& dev, ServeRequest& request);
-  [[nodiscard]] core::OpDesc make_desc(const ServeRequest& r,
-                                       const dispatch::Dispatcher& d) const;
 
   FleetConfig config_;
   Router router_;

@@ -2,8 +2,9 @@
 // Serving-layer request vocabulary.
 //
 // A ServeRequest is one BLAS call travelling through the DeviceFleet:
-// the operands (borrowed — the client keeps them alive until the future
-// resolves), the request class that picks its SLO, and the routing
+// the dispatcher's Call record (descriptor with the producer's error
+// budget, scalars, operands borrowed until the future resolves), the
+// request class that picks its SLO, and the routing
 // stamps (chosen device, modelled cost estimate, deadline) added at
 // admission. The worker resolves the promise with a ServeResult that
 // says what happened — completed on which device, or shed because its
@@ -12,7 +13,7 @@
 #include <cstdint>
 #include <future>
 
-#include "blas/types.hpp"
+#include "dispatch/dispatcher.hpp"
 
 namespace blob::serve {
 
@@ -68,28 +69,14 @@ struct ServeResult {
   std::int64_t latency_ns = 0;  ///< admission -> resolution wall latency
 };
 
-/// The four precision/op combinations the fleet serves. (The half
-/// precisions stay on the single-device replay path for now: their CPU
-/// fallback shares one global accumulator config, which would serialise
-/// a fleet.)
-enum class OpKind { GemmF32, GemmF64, GemvF32, GemvF64 };
-
 /// One queued call. Moved (never copied) through the sharded queue; the
-/// promise makes it move-only by construction.
+/// promise makes it move-only by construction. The fleet serves f32/f64
+/// (half precisions stay on the single-device replay path: their CPU
+/// fallback shares one global accumulator config, which would serialise
+/// a fleet).
 struct ServeRequest {
-  OpKind kind = OpKind::GemmF32;
+  dispatch::Call call;
   RequestClass cls = RequestClass::BestEffort;
-  blas::Transpose ta = blas::Transpose::No;
-  blas::Transpose tb = blas::Transpose::No;
-  int m = 0, n = 0, k = 0;
-  int lda = 0, ldb = 0, ldc = 0;
-  int incx = 1, incy = 1;
-  // Scalars held as double; float round-trips losslessly.
-  double alpha = 1.0, beta = 0.0;
-  const void* a = nullptr;
-  const void* b = nullptr;  ///< B for GEMM, x for GEMV
-  void* c = nullptr;        ///< C for GEMM, y for GEMV
-
   std::uint64_t id = 0;         ///< fleet-wide admission sequence
   int device = 0;               ///< router's pick, set at admission
   double est_s = 0.0;           ///< modelled best-route cost on that device

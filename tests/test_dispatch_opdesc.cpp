@@ -3,13 +3,15 @@
 // gpu_supported(), plus the randomized route-equivalence property the
 // refactor is accountable to: CPU-routed, GPU-routed and coalesced
 // batched execution produce BIT-IDENTICAL results on transposed and
-// ld-padded operands (SimGpu's functional path runs the same serial
-// kernel as the single-thread CPU library, so equality is exact, not
-// approximate).
+// ld-padded operands under every residency policy (SimGpu's functional
+// path runs the same serial kernel as the single-thread CPU library, so
+// equality is exact, not approximate) — plus a pinned 30-call stream
+// whose modelled clock, H2D bytes and decision trace must not move.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/op_desc.hpp"
@@ -110,7 +112,8 @@ TEST(OpDesc, GpuSupportAdmitsTransposesRejectsStridedGemvVectors) {
 
 // -------------------------------------- route bit-identity property
 
-dispatch::DispatcherConfig identity_config() {
+dispatch::DispatcherConfig identity_config(
+    dispatch::ResidencyPolicy policy = dispatch::ResidencyPolicy::Off) {
   dispatch::DispatcherConfig cfg;
   cfg.profile = profile::dawn();
   // Single-thread personality with the default blocking: the CPU route
@@ -118,8 +121,15 @@ dispatch::DispatcherConfig identity_config() {
   cfg.personality = blas::single_thread_personality();
   cfg.cpu_threads = 1;
   cfg.autotune = false;  // a tuned blocking would change the CPU tiling
+  // Track stages through explicit DMA with residency hits; FirstTouch
+  // stages through managed buffers. Both must leave the numerics alone.
+  cfg.residency = policy;
   return cfg;
 }
+
+constexpr dispatch::ResidencyPolicy kPolicies[] = {
+    dispatch::ResidencyPolicy::Off, dispatch::ResidencyPolicy::Track,
+    dispatch::ResidencyPolicy::FirstTouch};
 
 template <typename T>
 std::vector<T> random_matrix(std::int64_t ld, std::int64_t cols,
@@ -189,21 +199,25 @@ void gemm_route_identity_trial(dispatch::Dispatcher& disp,
   // member bit-identical to the per-call CPU result.
   constexpr int kBatch = 3;
   std::vector<std::vector<T>> cs(kBatch, c0);
-  std::vector<const T*> as(kBatch, a.data());
-  std::vector<const T*> bs(kBatch, b.data());
-  std::vector<T*> cps;
-  for (auto& c : cs) cps.push_back(c.data());
-  disp.run_gemm_coalesced<T>(desc, alpha, as.data(), bs.data(), beta,
-                             cps.data(), kBatch);
+  std::vector<dispatch::Call> calls;
+  for (auto& c : cs) {
+    calls.push_back({desc, alpha, beta, a.data(), b.data(), c.data()});
+  }
+  std::vector<const dispatch::Call*> members;
+  for (const auto& call : calls) members.push_back(&call);
+  disp.run_coalesced(members);
   for (const auto& c : cs) expect_bitwise_eq(c, c_cpu, trial);
 }
 
 TEST(OpDescRouteIdentity, GemmCpuGpuAndCoalescedAgreeBitwise) {
-  dispatch::Dispatcher disp(identity_config());
-  util::Xoshiro256 rng(0x0bde5c);
-  for (int trial = 0; trial < 40; ++trial) {
-    gemm_route_identity_trial<float>(disp, rng, trial);
-    gemm_route_identity_trial<double>(disp, rng, trial);
+  for (const auto policy : kPolicies) {
+    SCOPED_TRACE(dispatch::to_string(policy));
+    dispatch::Dispatcher disp(identity_config(policy));
+    util::Xoshiro256 rng(0x0bde5c);
+    for (int trial = 0; trial < 40; ++trial) {
+      gemm_route_identity_trial<float>(disp, rng, trial);
+      gemm_route_identity_trial<double>(disp, rng, trial);
+    }
   }
 }
 
@@ -242,11 +256,14 @@ void gemv_route_identity_trial(dispatch::Dispatcher& disp,
 }
 
 TEST(OpDescRouteIdentity, GemvCpuAndGpuAgreeBitwise) {
-  dispatch::Dispatcher disp(identity_config());
-  util::Xoshiro256 rng(0x9e37);
-  for (int trial = 0; trial < 40; ++trial) {
-    gemv_route_identity_trial<float>(disp, rng, trial);
-    gemv_route_identity_trial<double>(disp, rng, trial);
+  for (const auto policy : kPolicies) {
+    SCOPED_TRACE(dispatch::to_string(policy));
+    dispatch::Dispatcher disp(identity_config(policy));
+    util::Xoshiro256 rng(0x9e37);
+    for (int trial = 0; trial < 40; ++trial) {
+      gemv_route_identity_trial<float>(disp, rng, trial);
+      gemv_route_identity_trial<double>(disp, rng, trial);
+    }
   }
 }
 
@@ -292,6 +309,149 @@ TEST(OpDescRouteIdentity, ForcedOnlyForStridedGemvVectors) {
   EXPECT_EQ(last.reason, dispatch::Reason::Forced);
   EXPECT_EQ(last.route, dispatch::Route::Cpu);
   EXPECT_EQ(last.trans_a, Transpose::Yes);
+}
+
+// ------------------------------------------- pinned residency stream
+
+// A fixed 30-call stream — f32/f64 GEMMs (one transposed, ld-padded,
+// beta != 0), GEMVs, relaxed-budget f64 GEMMs and a GEMM that reads an
+// earlier GPU output — replayed on isambard-ai under each residency
+// policy. The expected virtual clock, H2D byte counters and decision
+// trace were recorded from the staging code that predates the unified
+// GPU pipeline: any change to the order of allocations and stream ops,
+// or to what a residency hit skips, moves at least one of them.
+struct PinnedOutcome {
+  dispatch::ResidencyPolicy policy;
+  double virtual_now;
+  double h2d_moved;
+  double h2d_skipped;
+  std::string trace;      ///< route + residency class letter per call
+  std::uint64_t digest;   ///< FNV-1a over every record's modelled fields
+};
+
+std::uint64_t fnv_mix(std::uint64_t h, double v) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof bits);
+  for (int i = 0; i < 8; ++i) {
+    h ^= (bits >> (8 * i)) & 0xffu;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+PinnedOutcome run_pinned_stream(dispatch::ResidencyPolicy policy) {
+  dispatch::DispatcherConfig cfg;
+  cfg.profile = profile::by_name("isambard-ai");
+  cfg.cpu_threads = 1;
+  cfg.residency = policy;
+  dispatch::Dispatcher disp(cfg);
+  const auto mode = disp.effective_mode();
+  util::Xoshiro256 rng(0x51ab);
+
+  const auto a32 = random_matrix<float>(160, 160, rng);
+  const auto b32 = random_matrix<float>(160, 160, rng);
+  std::vector<float> c32(160 * 160);
+  const auto a64t = random_matrix<double>(67, 96, rng);  // stored k x m
+  const auto b64 = random_matrix<double>(64, 80, rng);
+  auto c64 = random_matrix<double>(98, 80, rng);
+  const auto av = random_matrix<double>(768, 768, rng);
+  const auto xv = random_matrix<double>(768, 1, rng);
+  std::vector<double> yv(768);
+  const auto at32 = random_matrix<float>(304, 200, rng);
+  const auto xt32 = random_matrix<float>(300, 1, rng);
+  auto yt32 = random_matrix<float>(200, 1, rng);
+  const auto ae = random_matrix<double>(224, 224, rng);
+  const auto be = random_matrix<double>(224, 224, rng);
+  std::vector<double> ce(224 * 224);
+  std::vector<double> cr(224 * 224);
+
+  for (int i = 0; i < 30; ++i) {
+    switch (i % 6) {
+      case 0:
+        disp.run_gemm<float>(
+            OpDesc::gemm(model::Precision::F32, Transpose::No, Transpose::No,
+                         160, 160, 160, 160, 160, 160, true, true, mode),
+            1.0F, a32.data(), b32.data(), 0.0F, c32.data());
+        break;
+      case 1:
+        disp.run_gemm<double>(
+            OpDesc::gemm(model::Precision::F64, Transpose::Yes,
+                         Transpose::No, 96, 80, 64, 67, 64, 98, true, false,
+                         mode),
+            1.0, a64t.data(), b64.data(), 0.5, c64.data());
+        break;
+      case 2:
+        disp.run_gemv<double>(
+            OpDesc::gemv(model::Precision::F64, Transpose::No, 768, 768, 768,
+                         1, 1, true, true, mode),
+            1.0, av.data(), xv.data(), 0.0, yv.data());
+        break;
+      case 3:
+        disp.run_gemv<float>(
+            OpDesc::gemv(model::Precision::F32, Transpose::Yes, 300, 200,
+                         304, 1, 1, false, false, mode),
+            2.0F, at32.data(), xt32.data(), 1.0F, yt32.data());
+        break;
+      case 4: {
+        OpDesc d = OpDesc::gemm(model::Precision::F64, Transpose::No,
+                                Transpose::No, 224, 224, 224, 224, 224, 224,
+                                true, true, mode);
+        d.budget = core::ErrorBudget::relaxed();
+        disp.run_gemm<double>(d, 1.0, ae.data(), be.data(), 0.0, ce.data());
+        break;
+      }
+      case 5:
+        // Reads the previous call's output as its A operand.
+        disp.run_gemm<double>(
+            OpDesc::gemm(model::Precision::F64, Transpose::No, Transpose::No,
+                         224, 224, 224, 224, 224, 224, true, true, mode),
+            1.0, ce.data(), be.data(), 0.0, cr.data());
+        break;
+    }
+  }
+
+  PinnedOutcome out{policy, disp.virtual_now(), 0.0, 0.0, "", 0};
+  const auto stats = disp.stats();
+  out.h2d_moved = stats.h2d_bytes_moved;
+  out.h2d_skipped = stats.h2d_bytes_skipped;
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const auto& rec : disp.trace().snapshot()) {
+    out.trace += "CGBE"[static_cast<int>(rec.route)];
+    out.trace += "cpw"[static_cast<int>(rec.residency)];
+    for (const double v : {rec.cpu_est_s, rec.gpu_est_s, rec.emu_est_s,
+                           rec.cost_s, rec.observed_s, rec.h2d_moved_bytes,
+                           rec.h2d_skipped_bytes}) {
+      h = fnv_mix(h, v);
+    }
+  }
+  out.digest = h;
+  return out;
+}
+
+TEST(OpDescRouteIdentity, PinnedStreamUnderEachResidencyPolicy) {
+  const PinnedOutcome expected[] = {
+      {dispatch::ResidencyPolicy::Off, 0x1.591bfbd820b3ap-12,
+       0x1.23b0a8p+25, 0x0p+0,
+       "GcGcGcCcEcGcGcGcGcCcEcGcGcGcGcCcEcGcGcGcGcCcEcGcGcGcGcGcEcGc",
+       0x5758c3837d8a1636ull},
+      {dispatch::ResidencyPolicy::Track, 0x1.f80b569591a7ap-13, 0x1.9ecp+22,
+       0x1.dcp+24,
+       "GcGcGcCcEcGpGwGwGwCcEwGwGwGwGwCcEwGwGwGwGwCcEwGwGwGwGwCcEwGw",
+       0xde697bd3646b190cull},
+      {dispatch::ResidencyPolicy::FirstTouch, 0x1.cc1147c75b1b3p-13,
+       0x1.864p+22, 0x1.6a4p+24,
+       "GcGcGcCcEcCpCwCwGwCcEwCpCpCpGwCcEwCpCpCpGwCcEwCpCpCpGwCcEwCp",
+       0xcd6c3fb1084edf42ull},
+  };
+  for (const PinnedOutcome& want : expected) {
+    const PinnedOutcome got = run_pinned_stream(want.policy);
+    SCOPED_TRACE(dispatch::to_string(want.policy));
+    EXPECT_EQ(got.virtual_now, want.virtual_now);
+    EXPECT_EQ(got.h2d_moved, want.h2d_moved);
+    EXPECT_EQ(got.h2d_skipped, want.h2d_skipped);
+    EXPECT_EQ(got.trace, want.trace);
+    EXPECT_EQ(got.digest, want.digest);
+  }
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Admission queue: multi-threaded submission with correct results,
-// same-shape coalescing into gemm_batched / gemv_batched, and transfer/
+// same-shape coalescing into gemm_batched / gemv_batched, transfer/
 // compute overlap between GPU-routed jobs and CPU work drained in the
-// same cycle.
+// same cycle, and submission order on shared output buffers.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <future>
 #include <thread>
 #include <vector>
@@ -311,6 +312,71 @@ TEST(DispatchQueue, SubmitAfterStopThrows) {
   queue.stop();
   EXPECT_THROW(call.submit(queue), std::runtime_error);
   EXPECT_EQ(queue.completed(), 1u);
+}
+
+TEST(DispatchQueue, SharedOutputBurstRunsInSubmissionOrder) {
+  // A burst of coalesce_min same-shape GEMMs accumulating into ONE C
+  // (beta = 1) is a chain of read-after-write hazards. Coalescing it into
+  // one gemm_batched would let pool threads update C concurrently; the
+  // queue must run the members one after another, so C ends bitwise
+  // equal to the same calls run serially through a lone dispatcher.
+  dispatch::DispatcherConfig cfg;
+  cfg.profile = profile::dawn();
+  cfg.cpu_threads = 4;
+  const dispatch::AdmissionQueueConfig qcfg;
+  const int burst = qcfg.coalesce_min;
+  constexpr int kDim = 64;
+  std::vector<std::vector<double>> as;
+  std::vector<std::vector<double>> bs;
+  for (int i = 0; i < burst; ++i) {
+    as.push_back(random_vector<double>(kDim * kDim, 900 + 2 * i));
+    bs.push_back(random_vector<double>(kDim * kDim, 901 + 2 * i));
+  }
+  const std::vector<double> c0 = random_vector<double>(kDim * kDim, 999);
+  // The plug is deterministically Forced onto the CPU (strided vectors)
+  // and keeps the worker busy while the burst lands in one window.
+  GemvCall<double> plug(blas::Transpose::No, 2000, 2000, 17,
+                        /*incx=*/2, /*incy=*/3);
+  const std::vector<double> plug_y0 = plug.y;
+
+  std::vector<double> expected = c0;
+  {
+    dispatch::Dispatcher serial(cfg);
+    const auto mode = serial.effective_mode();
+    std::vector<double> y = plug_y0;
+    serial.run_gemv<double>(
+        core::OpDesc::gemv(model::Precision::F64, blas::Transpose::No, 2000,
+                           2000, 2000, 2, 3, true, true, mode),
+        1.0, plug.a.data(), plug.x.data(), 0.0, y.data());
+    for (int i = 0; i < burst; ++i) {
+      serial.run_gemm<double>(
+          core::OpDesc::gemm(model::Precision::F64, blas::Transpose::No,
+                             blas::Transpose::No, kDim, kDim, kDim, kDim,
+                             kDim, kDim, true, false, mode),
+          1.0, as[i].data(), bs[i].data(), 1.0, expected.data());
+    }
+  }
+
+  dispatch::Dispatcher disp(cfg);
+  dispatch::AdmissionQueue queue(disp, qcfg);
+  std::vector<double> c = c0;
+  std::vector<std::future<void>> futures;
+  futures.push_back(plug.submit(queue));
+  for (int i = 0; i < burst; ++i) {
+    futures.push_back(queue.submit_gemm<double>(
+        blas::Transpose::No, blas::Transpose::No, kDim, kDim, kDim, 1.0,
+        as[i].data(), kDim, bs[i].data(), kDim, 1.0, c.data(), kDim));
+  }
+  for (auto& f : futures) f.get();
+  queue.flush();
+
+  EXPECT_EQ(std::memcmp(c.data(), expected.data(), c.size() * sizeof(double)),
+            0)
+      << "shared-output burst diverged from serial execution";
+  const auto stats = disp.stats();
+  EXPECT_EQ(stats.coalesced_batches, 0u)
+      << "members with overlapping outputs must never coalesce";
+  EXPECT_EQ(stats.gemm_calls, static_cast<std::uint64_t>(burst));
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // deterministic, ties break toward the shallower queue then the lower
 // device id, load steers traffic away, and heterogeneous profiles win
 // on modelled cost. The fleet-level anchors: a 1-device fleet is
-// bit-identical to a lone Dispatcher fed the same calls, and shedding
-// touches ONLY past-deadline requests (BestEffort never sheds).
+// bit-identical to a lone Dispatcher fed the same calls (under the
+// producer's error budget too), and shedding touches ONLY past-deadline
+// requests (BestEffort never sheds).
 
 #include <gtest/gtest.h>
 
@@ -301,6 +302,67 @@ TEST(ServeFleet, SingleDeviceFleetIsBitIdenticalToLoneDispatcher) {
             0);
   EXPECT_EQ(std::memcmp(fleet_arena.yd.data(), plain_arena.yd.data(),
                         fleet_arena.yd.size() * sizeof(double)),
+            0);
+}
+
+// The fleet carries the PRODUCER's error budget to its worker thread:
+// under a relaxed ScopedErrorBudget a 1-device fleet routes an
+// emulation-eligible f64 GEMM exactly as a lone dispatcher handed the
+// same relaxed descriptor — same routes, same budget fields.
+TEST(ServeFleet, SingleDeviceFleetHonoursProducerErrorBudget) {
+  constexpr int kDim = 224;
+  constexpr int kCalls = 6;
+  const DispatcherConfig base = quiet_config(profile::by_name("isambard-ai"));
+  std::vector<double> a(kDim * kDim, 0.5), b(kDim * kDim, 0.25);
+  std::vector<double> c_fleet(kDim * kDim), c_plain(kDim * kDim);
+
+  std::vector<dispatch::TraceRecord> fleet_trace;
+  {
+    FleetConfig config;
+    config.devices = {base.profile};
+    config.base = base;
+    DeviceFleet fleet(config);
+    const blas::ScopedErrorBudget relaxed(core::ErrorBudget::relaxed());
+    for (int i = 0; i < kCalls; ++i) {
+      fleet
+          .submit_gemm<double>(RequestClass::BestEffort, blas::Transpose::No,
+                               blas::Transpose::No, kDim, kDim, kDim, 1.0,
+                               a.data(), kDim, b.data(), kDim, 0.0,
+                               c_fleet.data(), kDim)
+          .get();
+    }
+    fleet.flush();
+    fleet_trace = fleet.device(0).trace().snapshot();
+  }
+
+  Dispatcher plain(base);
+  core::OpDesc desc = core::OpDesc::gemm(
+      model::Precision::F64, blas::Transpose::No, blas::Transpose::No, kDim,
+      kDim, kDim, kDim, kDim, kDim, true, true, plain.effective_mode());
+  desc.budget = core::ErrorBudget::relaxed();
+  for (int i = 0; i < kCalls; ++i) {
+    plain.run_gemm<double>(desc, 1.0, a.data(), b.data(), 0.0,
+                           c_plain.data());
+  }
+  const std::vector<dispatch::TraceRecord> plain_trace =
+      plain.trace().snapshot();
+
+  ASSERT_EQ(fleet_trace.size(), plain_trace.size());
+  bool emulated = false;
+  for (std::size_t i = 0; i < fleet_trace.size(); ++i) {
+    EXPECT_EQ(fleet_trace[i].route, plain_trace[i].route) << "call " << i;
+    EXPECT_EQ(fleet_trace[i].budget, plain_trace[i].budget) << "call " << i;
+    EXPECT_EQ(fleet_trace[i].slices, plain_trace[i].slices) << "call " << i;
+    EXPECT_EQ(fleet_trace[i].emu_est_s, plain_trace[i].emu_est_s)
+        << "call " << i;
+    EXPECT_TRUE(records_equal(fleet_trace[i], plain_trace[i]))
+        << "trace diverges at call " << i;
+    emulated = emulated ||
+               fleet_trace[i].route == dispatch::Route::GpuEmulated;
+  }
+  EXPECT_TRUE(emulated) << "test premise: the relaxed arm is taken";
+  EXPECT_EQ(std::memcmp(c_fleet.data(), c_plain.data(),
+                        c_fleet.size() * sizeof(double)),
             0);
 }
 
