@@ -39,6 +39,10 @@ struct Dense {
   }
 };
 
+/// Host-side staging (buffer acquire, pack, unpack, resident refresh),
+/// traced apart from the kernels and DMA legs it feeds.
+constexpr const char* kStageSpan = "dispatch.gpu_stage";
+
 /// A, B (or x) and C (or y) of a device-supported call in STORED shapes.
 std::array<Dense, 3> dense_operands(const core::OpDesc& d) {
   if (d.op == core::KernelOp::Gemm) {
@@ -704,28 +708,6 @@ void Dispatcher::run_coalesced(const std::vector<const Call*>& members) {
 
 // -- GPU path ----------------------------------------------------------------
 
-void Dispatcher::upload_operand_locked(sim::Stream& stream, sim::Buffer& dst,
-                                       const sim::Buffer& src,
-                                       std::size_t bytes,
-                                       const Region& region, GpuJob& job) {
-  if (config_.residency == ResidencyPolicy::Track && region.valid() &&
-      residency_.resident_clean(region)) {
-    // The device copy is current. Refresh the simulated storage so the
-    // kernel still computes from host truth (a caching runtime would
-    // reuse its live device buffer outright) without a modelled DMA.
-    std::memcpy(dst.data(), src.data(), bytes);
-    job.h2d_skipped += static_cast<double>(bytes);
-    count_residency_hit();
-    return;
-  }
-  device_.memcpy_h2d_async(stream, dst, src, bytes);
-  job.h2d_moved += static_cast<double>(bytes);
-  if (config_.residency == ResidencyPolicy::Track && region.valid()) {
-    residency_.note_upload(region);
-    count_residency_miss();
-  }
-}
-
 void Dispatcher::place_managed_locked(sim::Buffer& buffer,
                                       const Region& region, GpuJob& job) {
   const double bytes = static_cast<double>(buffer.bytes());
@@ -742,6 +724,34 @@ void Dispatcher::place_managed_locked(sim::Buffer& buffer,
     residency_.note_upload(region);
     count_residency_miss();
   }
+}
+
+sim::Buffer Dispatcher::acquire_staging_locked(sim::MemKind kind,
+                                              std::size_t bytes) {
+  auto best = staging_free_.end();
+  auto smallest = staging_free_.end();
+  for (auto it = staging_free_.begin(); it != staging_free_.end(); ++it) {
+    if (it->kind() != kind) continue;
+    if (it->bytes() >= bytes &&
+        (best == staging_free_.end() || it->bytes() < best->bytes())) {
+      best = it;
+    }
+    if (smallest == staging_free_.end() || it->bytes() < smallest->bytes()) {
+      smallest = it;
+    }
+  }
+  const auto take = [this](auto it) {
+    sim::Buffer buffer = std::move(*it);
+    *it = std::move(staging_free_.back());
+    staging_free_.pop_back();
+    return buffer;
+  };
+  if (best != staging_free_.end()) return take(best);
+  // A miss: every free buffer of this kind is too small. Free the smallest
+  // first, so the list never holds more than the peak in flight.
+  if (smallest != staging_free_.end()) take(smallest);
+  return kind == sim::MemKind::Device ? device_.alloc_device(bytes)
+                                      : device_.alloc_host(bytes);
 }
 
 Dispatcher::GpuJob Dispatcher::enqueue_gpu(const Decision& decision,
@@ -779,32 +789,68 @@ Dispatcher::GpuJob Dispatcher::enqueue_gpu_locked(const Decision& decision,
   // FirstTouch places operands in managed memory, where the kernel's
   // page-migration model moves only what is not already resident; the
   // other policies stage through pinned host buffers and explicit DMA.
+  // Pinned and device staging buffers are recycled across jobs (managed
+  // ones are not: their size and residency feed the USM cost model).
   const bool managed = config_.residency == ResidencyPolicy::FirstTouch;
   std::array<std::size_t, 3> bytes{};
-  job.buffers.reserve(6);  // no reallocation: references stay valid
-  for (std::size_t i = 0; i < 3; ++i) {
-    bytes[i] = shapes[i].bytes(es);
-    job.buffers.push_back(managed ? device_.alloc_managed(bytes[i])
-                                  : device_.alloc_host(bytes[i]));
-  }
-  for (std::size_t i = 0; i < 3; ++i) {
-    copy_dense(job.buffers[i].data(), shapes[i].rows, host[i], shapes[i].ld,
-               shapes[i], es);
+  const auto pack = [&](std::size_t i, sim::Buffer& dst) {
+    copy_dense(dst.data(), shapes[i].rows, host[i], shapes[i].ld, shapes[i],
+               es);
+  };
+  {
+    obs::Span stage(kStageSpan, obs::Category::Dispatch);
+    job.buffers.reserve(6);  // no reallocation: references stay valid
+    for (std::size_t i = 0; i < 3; ++i) {
+      bytes[i] = shapes[i].bytes(es);
+      job.buffers.push_back(
+          managed ? device_.alloc_managed(bytes[i])
+                  : acquire_staging_locked(sim::MemKind::HostPinned,
+                                           bytes[i]));
+    }
+    if (managed) {
+      for (std::size_t i = 0; i < 3; ++i) pack(i, job.buffers[i]);
+    } else {
+      for (std::size_t i = 0; i < 3; ++i) {
+        job.buffers.push_back(
+            acquire_staging_locked(sim::MemKind::Device, bytes[i]));
+      }
+    }
   }
   if (managed) {
     for (std::size_t i = 0; i < 3; ++i) {
       place_managed_locked(job.buffers[i], *footprint[i], job);
     }
   } else {
-    for (std::size_t i = 0; i < 3; ++i) {
-      job.buffers.push_back(device_.alloc_device(bytes[i]));
-    }
     // Each upload re-checks the tracker AT ENQUEUE TIME (not plan time),
     // so sequential enqueues within one queue cycle warm each other —
     // the second batch member sharing an A panel never re-charges it.
+    const bool track = config_.residency == ResidencyPolicy::Track;
     for (std::size_t i = 0; i < 3; ++i) {
-      upload_operand_locked(s, job.buffers[3 + i], job.buffers[i], bytes[i],
-                            *footprint[i], job);
+      sim::Buffer& pinned = job.buffers[i];
+      sim::Buffer& device = job.buffers[3 + i];
+      const Region& region = *footprint[i];
+      const bool tracked = track && region.valid();
+      if (tracked && residency_.resident_clean(region)) {
+        // The device copy is current: no modelled DMA. The simulated
+        // storage is still refreshed from host truth, packed straight
+        // into the device buffer (a caching runtime would reuse its live
+        // device buffer outright).
+        obs::Span stage(kStageSpan, obs::Category::Dispatch);
+        pack(i, device);
+        job.h2d_skipped += static_cast<double>(bytes[i]);
+        count_residency_hit();
+        continue;
+      }
+      {
+        obs::Span stage(kStageSpan, obs::Category::Dispatch);
+        pack(i, pinned);
+      }
+      device_.memcpy_h2d_async(s, device, pinned, bytes[i]);
+      job.h2d_moved += static_cast<double>(bytes[i]);
+      if (tracked) {
+        residency_.note_upload(region);
+        count_residency_miss();
+      }
     }
   }
   sim::Buffer* dev = job.buffers.data() + (managed ? 0 : 3);
@@ -841,7 +887,16 @@ void Dispatcher::finish_gpu_job_locked(GpuJob& job, bool overlapped) {
   // must not be charged to this call (cudaEvent-style sync, not a full
   // stream synchronize).
   device_.clock().advance_to(job.done);
-  if (job.unpack) job.unpack();
+  {
+    obs::Span stage(kStageSpan, obs::Category::Dispatch);
+    if (job.unpack) job.unpack();
+    for (sim::Buffer& buffer : job.buffers) {
+      if (buffer.kind() != sim::MemKind::Managed) {
+        staging_free_.push_back(std::move(buffer));
+      }
+    }
+    job.buffers.clear();
+  }
   // The device result has been unpacked into the client buffer: host and
   // device copies agree, so the output region is resident-clean — the
   // next iteration of a solver that feeds C/y back in uploads nothing.
@@ -852,7 +907,6 @@ void Dispatcher::finish_gpu_job_locked(GpuJob& job, bool overlapped) {
   const double cost = job.done - job.submit_floor;
   account_and_observe(job.desc, job.key, job.decision, cost, 1,
                       job.h2d_moved, job.h2d_skipped);
-  job.buffers.clear();
   job.unpack = nullptr;
   job.active = false;
 }
@@ -860,6 +914,11 @@ void Dispatcher::finish_gpu_job_locked(GpuJob& job, bool overlapped) {
 void Dispatcher::finish_gpu_job(GpuJob& job, bool overlapped) {
   std::lock_guard<std::mutex> lock(mutex_);
   finish_gpu_job_locked(job, overlapped);
+}
+
+sim::MemoryTracker Dispatcher::device_memory() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return device_.memory();
 }
 
 // -- cost oracle -------------------------------------------------------------

@@ -27,7 +27,8 @@
 // hand over a Call (descriptor + scalars + borrowed operands), which is
 // planned, then either run by the CPU leaf or staged through the single
 // GPU pipeline (operand regions -> residency-aware upload or managed
-// placement -> kernel -> download or USM writeback). Only the CPU
+// placement -> kernel -> download or USM writeback). Pinned and device
+// staging buffers are recycled from job to job. Only the CPU
 // kernels and the device kernel launch are op- and type-specific.
 //
 // The dispatcher serialises calls with an internal mutex, so any number
@@ -263,7 +264,8 @@ class Dispatcher final : public blas::CblasDispatchHook {
   void run_coalesced(const std::vector<const Call*>& members);
 
   /// A GPU call in flight on the dispatch stream. Buffers stay alive and
-  /// the client's output is written only at finish_gpu_job().
+  /// the client's output is written only at finish_gpu_job(), which
+  /// hands the pinned and device buffers back for later jobs to reuse.
   struct GpuJob {
     bool active = false;
     double submit_floor = 0.0;  ///< virtual time the job could start
@@ -376,6 +378,10 @@ class Dispatcher final : public blas::CblasDispatchHook {
   [[nodiscard]] const ResidencyTracker& residency() const {
     return residency_;
   }
+  /// Snapshot of the simulated device's allocation accounting. Staging
+  /// buffers are recycled, so pinned and device bytes hold the cached
+  /// high-water mark of the jobs in flight, as a caching allocator would.
+  [[nodiscard]] sim::MemoryTracker device_memory() const;
 
  private:
   template <typename T, typename S>
@@ -415,12 +421,11 @@ class Dispatcher final : public blas::CblasDispatchHook {
   /// resident-clean operands) plus the output download.
   [[nodiscard]] core::SimBackend::GpuTraffic traffic_locked(
       const core::OpDesc& desc, const OperandRegions& regions) const;
-  /// Track path: DMA a staged operand unless its host region is
-  /// resident-clean (then the device copy is current — refresh the
-  /// simulated storage without a modelled transfer).
-  void upload_operand_locked(sim::Stream& stream, sim::Buffer& dst,
-                             const sim::Buffer& src, std::size_t bytes,
-                             const Region& region, GpuJob& job);
+  /// A pinned host or device staging buffer holding at least `bytes`:
+  /// the best-fitting free one, else a fresh allocation that replaces a
+  /// too-small free one. Its contents are stale; staging overwrites the
+  /// `bytes` it uses.
+  sim::Buffer acquire_staging_locked(sim::MemKind kind, std::size_t bytes);
   /// FirstTouch path: decide whether a managed operand's pages are
   /// already device-resident (free) or will fault-migrate in the kernel.
   void place_managed_locked(sim::Buffer& buffer, const Region& region,
@@ -463,6 +468,9 @@ class Dispatcher final : public blas::CblasDispatchHook {
   LoadStatus startup_load_ = LoadStatus::IoError;
   std::uint64_t seq_ = 0;
   bool installed_ = false;
+  /// Staging buffers of finished jobs (Off and Track policies), recycled
+  /// by later enqueues. Declared after device_: destroyed before it.
+  std::vector<sim::Buffer> staging_free_;
 };
 
 }  // namespace blob::dispatch

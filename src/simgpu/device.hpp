@@ -70,6 +70,7 @@ class SimGpu {
   [[nodiscard]] util::SimClock& clock() { return clock_; }
   [[nodiscard]] Stream& default_stream() { return stream_; }
   [[nodiscard]] MemoryTracker& memory() { return tracker_; }
+  [[nodiscard]] const MemoryTracker& memory() const { return tracker_; }
   [[nodiscard]] const TraceSink& trace() const { return trace_; }
 
   /// Create an additional stream (cudaStreamCreate analogue). The

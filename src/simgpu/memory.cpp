@@ -1,6 +1,6 @@
 #include "simgpu/memory.hpp"
 
-#include <cstring>
+#include <algorithm>
 
 namespace blob::sim {
 
@@ -18,12 +18,13 @@ const char* to_string(MemKind kind) {
   return "?";
 }
 
+// make_unique value-initialises the array: every buffer starts zeroed,
+// in one pass.
 Buffer::Buffer(MemKind kind, std::size_t bytes, MemoryTracker* tracker)
     : kind_(kind),
       bytes_(bytes),
       storage_(std::make_unique<std::byte[]>(bytes)),
       tracker_(tracker) {
-  std::memset(storage_.get(), 0, bytes);
   if (tracker_ != nullptr) tracker_->on_alloc(kind_, bytes_);
 }
 
@@ -77,6 +78,7 @@ void MemoryTracker::on_alloc(MemKind kind, std::size_t bytes) {
   s.current += bytes;
   s.peak = std::max(s.peak, s.current);
   ++s.live;
+  ++s.allocations;
 }
 
 void MemoryTracker::on_free(MemKind kind, std::size_t bytes) {
@@ -98,6 +100,10 @@ std::size_t MemoryTracker::peak_bytes(MemKind kind) const {
 
 std::size_t MemoryTracker::live_allocations(MemKind kind) const {
   return space(kind).live;
+}
+
+std::size_t MemoryTracker::total_allocations(MemKind kind) const {
+  return space(kind).allocations;
 }
 
 }  // namespace blob::sim

@@ -89,12 +89,15 @@ class MemoryTracker {
   [[nodiscard]] std::size_t current_bytes(MemKind kind) const;
   [[nodiscard]] std::size_t peak_bytes(MemKind kind) const;
   [[nodiscard]] std::size_t live_allocations(MemKind kind) const;
+  /// Allocations made in this space since construction (frees aside).
+  [[nodiscard]] std::size_t total_allocations(MemKind kind) const;
 
  private:
   struct Space {
     std::size_t current = 0;
     std::size_t peak = 0;
     std::size_t live = 0;
+    std::size_t allocations = 0;
   };
   Space& space(MemKind kind);
   [[nodiscard]] const Space& space(MemKind kind) const;

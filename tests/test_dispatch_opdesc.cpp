@@ -6,7 +6,8 @@
 // ld-padded operands under every residency policy (SimGpu's functional
 // path runs the same serial kernel as the single-thread CPU library, so
 // equality is exact, not approximate) — plus a pinned 30-call stream
-// whose modelled clock, H2D bytes and decision trace must not move.
+// whose modelled clock, H2D bytes and decision trace must not move, and
+// the recycling of staging buffers across GPU jobs.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,8 @@
 #include <string>
 #include <vector>
 
+#include "blas/gemm.hpp"
+#include "blas/gemv.hpp"
 #include "core/op_desc.hpp"
 #include "dispatch/dispatcher.hpp"
 #include "util/rng.hpp"
@@ -451,6 +454,181 @@ TEST(OpDescRouteIdentity, PinnedStreamUnderEachResidencyPolicy) {
     EXPECT_EQ(got.h2d_skipped, want.h2d_skipped);
     EXPECT_EQ(got.trace, want.trace);
     EXPECT_EQ(got.digest, want.digest);
+  }
+}
+
+// ------------------------------------------- staging buffer recycling
+
+// GPU-routed calls with ld-padded operands whose shapes shrink from call
+// to call (GEMMs interleaved with GEMVs), so later jobs stage through the
+// larger pinned and device buffers that earlier jobs handed back.
+struct StagedCall {
+  OpDesc desc;
+  std::vector<double> a, b, c0;  ///< A, B or x, initial C or y
+};
+
+constexpr double kStageAlpha = 0.5;
+constexpr double kStageBeta = -1.25;
+
+std::vector<StagedCall> descending_stream() {
+  util::Xoshiro256 rng(0x5ca1e);
+  std::vector<StagedCall> calls;
+  for (std::int64_t s = 96; s >= 8; s -= 11) {
+    OpDesc g = OpDesc::gemm(model::Precision::F64,
+                            s % 2 == 0 ? Transpose::No : Transpose::Yes,
+                            Transpose::No, s, s - 3, s + 2, 0, 0, 0, false,
+                            false);
+    g.lda += 3;
+    g.ldb += 1;
+    g.ldc += 5;
+    calls.push_back({g, random_matrix<double>(g.lda, g.cols_a(), rng),
+                     random_matrix<double>(g.ldb, g.cols_b(), rng),
+                     random_matrix<double>(g.ldc, g.n, rng)});
+    OpDesc v = OpDesc::gemv(model::Precision::F64, Transpose::No, s + 4, s,
+                            0, 1, 1, false, false);
+    v.lda += 2;
+    calls.push_back({v, random_matrix<double>(v.lda, v.n, rng),
+                     random_matrix<double>(v.x_len(), 1, rng),
+                     random_matrix<double>(v.y_len(), 1, rng)});
+  }
+  return calls;
+}
+
+/// The hook-free result: the serial kernels the device runs functionally.
+std::vector<double> staged_reference(const StagedCall& call) {
+  const OpDesc& d = call.desc;
+  std::vector<double> c = call.c0;
+  const auto m = static_cast<int>(d.m);
+  const auto n = static_cast<int>(d.n);
+  if (d.op == KernelOp::Gemm) {
+    blas::gemm_serial(d.trans_a, d.trans_b, m, n, static_cast<int>(d.k),
+                      kStageAlpha, call.a.data(), static_cast<int>(d.lda),
+                      call.b.data(), static_cast<int>(d.ldb), kStageBeta,
+                      c.data(), static_cast<int>(d.ldc));
+  } else {
+    blas::gemv_serial(d.trans_a, m, n, kStageAlpha, call.a.data(),
+                      static_cast<int>(d.lda), call.b.data(), 1, kStageBeta,
+                      c.data(), 1);
+  }
+  return c;
+}
+
+/// Reset `out` to the call's initial output and enqueue the call.
+dispatch::Dispatcher::GpuJob enqueue_staged(dispatch::Dispatcher& disp,
+                                            const StagedCall& call,
+                                            std::vector<double>& out) {
+  out = call.c0;
+  dispatch::Call c{call.desc, kStageAlpha, kStageBeta};
+  c.a = call.a.data();
+  c.b = call.b.data();
+  c.c = out.data();
+  return disp.enqueue_gpu(disp.plan(c), c);
+}
+
+constexpr sim::MemKind kStagingKinds[] = {sim::MemKind::HostPinned,
+                                          sim::MemKind::Device};
+// The policies that stage through recycled pinned and device buffers.
+constexpr dispatch::ResidencyPolicy kStagingPolicies[] = {
+    dispatch::ResidencyPolicy::Off, dispatch::ResidencyPolicy::Track};
+
+TEST(StagingRecycle, DescendingPaddedStreamMatchesFreshDispatchers) {
+  const std::vector<StagedCall> stream = descending_stream();
+  for (const auto policy : kStagingPolicies) {
+    SCOPED_TRACE(dispatch::to_string(policy));
+    dispatch::Dispatcher shared(identity_config(policy));
+    // Outputs outlive the stream: a freed buffer's address reused by a
+    // later call would read as resident under Track.
+    std::vector<std::vector<double>> outs(stream.size());
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      auto job = enqueue_staged(shared, stream[i], outs[i]);
+      const double cost = job.done - job.submit_floor;
+      const double h2d = job.h2d_moved;
+      shared.finish_gpu_job(job);
+      expect_bitwise_eq(outs[i], staged_reference(stream[i]),
+                        static_cast<int>(i));
+
+      // The same call as the first job of a fresh dispatcher: recycled
+      // (larger, stale) buffers change neither its modelled span nor its
+      // link traffic. Spans are differences of absolute stream times, so
+      // the later clock origin costs a few ulps.
+      dispatch::Dispatcher fresh(identity_config(policy));
+      std::vector<double> fresh_out;
+      auto fresh_job = enqueue_staged(fresh, stream[i], fresh_out);
+      const double fresh_cost = fresh_job.done - fresh_job.submit_floor;
+      EXPECT_NEAR(cost, fresh_cost, 1e-12 * cost) << "call " << i;
+      EXPECT_EQ(h2d, fresh_job.h2d_moved) << "call " << i;
+      fresh.finish_gpu_job(fresh_job);
+    }
+  }
+}
+
+TEST(StagingRecycle, SecondPassAllocatesNothing) {
+  const std::vector<StagedCall> stream = descending_stream();
+  for (const auto policy : kStagingPolicies) {
+    SCOPED_TRACE(dispatch::to_string(policy));
+    dispatch::Dispatcher disp(identity_config(policy));
+    std::vector<std::vector<double>> outs(stream.size());
+    const auto pass = [&] {
+      for (std::size_t i = 0; i < stream.size(); ++i) {
+        auto job = enqueue_staged(disp, stream[i], outs[i]);
+        disp.finish_gpu_job(job);
+        // Under Track the second pass finds every operand resident-clean
+        // (outputs too: enqueue_staged resets them behind the tracker's
+        // back), so stale recycled device buffers are refreshed from the
+        // host without a DMA.
+        expect_bitwise_eq(outs[i], staged_reference(stream[i]),
+                          static_cast<int>(i));
+      }
+    };
+    pass();
+    const sim::MemoryTracker first = disp.device_memory();
+    pass();
+    const sim::MemoryTracker second = disp.device_memory();
+    for (const sim::MemKind kind : kStagingKinds) {
+      SCOPED_TRACE(sim::to_string(kind));
+      EXPECT_GT(first.total_allocations(kind), 0u);
+      EXPECT_EQ(second.total_allocations(kind),
+                first.total_allocations(kind));
+      EXPECT_EQ(second.current_bytes(kind), first.current_bytes(kind));
+      // One job in flight at a time: three buffers of each kind cached.
+      EXPECT_EQ(second.live_allocations(kind), 3u);
+    }
+  }
+}
+
+TEST(StagingRecycle, OverlappedJobsStageThroughDistinctBuffers) {
+  const std::vector<StagedCall> stream = descending_stream();
+  dispatch::Dispatcher disp(identity_config());
+  // Warm the list with one finished job, then hold two jobs in flight.
+  std::vector<double> warm, first_out, second_out;
+  auto warm_job = enqueue_staged(disp, stream[0], warm);
+  disp.finish_gpu_job(warm_job);
+
+  auto first = enqueue_staged(disp, stream[1], first_out);
+  auto second = enqueue_staged(disp, stream[2], second_out);
+  ASSERT_EQ(first.buffers.size(), 6u);
+  ASSERT_EQ(second.buffers.size(), 6u);
+  for (const sim::Buffer& x : first.buffers) {
+    for (const sim::Buffer& y : second.buffers) {
+      EXPECT_NE(x.data(), y.data()) << "in-flight jobs share a buffer";
+    }
+  }
+  disp.finish_gpu_job(second);
+  disp.finish_gpu_job(first);
+  expect_bitwise_eq(first_out, staged_reference(stream[1]), 1);
+  expect_bitwise_eq(second_out, staged_reference(stream[2]), 2);
+
+  // The list keeps the peak in flight (two jobs) and no more.
+  const sim::MemoryTracker peak = disp.device_memory();
+  std::vector<double> later;
+  auto later_job = enqueue_staged(disp, stream[3], later);
+  disp.finish_gpu_job(later_job);
+  expect_bitwise_eq(later, staged_reference(stream[3]), 3);
+  const sim::MemoryTracker after = disp.device_memory();
+  for (const sim::MemKind kind : kStagingKinds) {
+    SCOPED_TRACE(sim::to_string(kind));
+    EXPECT_EQ(peak.live_allocations(kind), 6u);
+    EXPECT_EQ(after.total_allocations(kind), peak.total_allocations(kind));
   }
 }
 

@@ -374,14 +374,17 @@ TEST(ServeFleet, ZeroSloNeverSheds) {
   config.slo.batch_ms = 0.0;
   DeviceFleet fleet(config);
 
-  std::vector<float> a(48 * 48, 0.5f), b(48 * 48, 0.25f), c(48 * 48);
+  std::vector<float> a(48 * 48, 0.5f), b(48 * 48, 0.25f);
+  // One output per request: the two devices run concurrently, so a
+  // shared C would be a data race between their kernels.
+  std::vector<std::vector<float>> c(60, std::vector<float>(48 * 48));
   std::vector<std::future<ServeResult>> pending;
   for (int i = 0; i < 60; ++i) {
     const RequestClass cls = i % 2 == 0 ? RequestClass::Interactive
                                         : RequestClass::Batch;
     pending.push_back(fleet.submit_gemm<float>(
         cls, blas::Transpose::No, blas::Transpose::No, 48, 48, 48, 1.0f,
-        a.data(), 48, b.data(), 48, 0.0f, c.data(), 48));
+        a.data(), 48, b.data(), 48, 0.0f, c[i].data(), 48));
   }
   fleet.flush();
   for (auto& f : pending) {
