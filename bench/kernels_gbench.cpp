@@ -1,7 +1,7 @@
 // Micro-benchmarks of the real CPU BLAS kernels on this host
-// (google-benchmark). These measure the library itself, not the
-// simulated systems; sizes are kept modest so the suite completes
-// quickly on small machines.
+// (google-benchmark), plus the dispatcher's residency bookkeeping. These
+// measure the library itself, not the simulated systems; sizes are kept
+// modest so the suite completes quickly on small machines.
 //
 // scripts/bench_gemm.sh runs the GEMM subset and writes
 // artifacts/BENCH_gemm.json for cross-commit comparison.
@@ -14,12 +14,15 @@
 #include "blas/batched.hpp"
 #include "blas/gemm.hpp"
 #include "blas/ref_blas.hpp"
+#include "dispatch/dispatcher.hpp"
+#include "dispatch/residency.hpp"
 #include "lapack/getrf.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/spmv.hpp"
 #include "blas/gemv.hpp"
 #include "blas/level1.hpp"
 #include "parallel/thread_pool.hpp"
+#include "sysprofile/profile.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -290,6 +293,59 @@ static void BM_getrf(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2LL * n * n * n / 3);
 }
 
+/// One pivoting row interchange across the 512 columns of an ld-padded
+/// f64 matrix (ld 520), as getrf notifies it. Arg 1: the matrix is
+/// resident-clean, so every pair is mirrored; arg 0: nothing is tracked
+/// there, so the swap must cost next to nothing.
+void BM_residency_row_swap(benchmark::State& state) {
+  constexpr std::int64_t kN = 512;
+  constexpr std::int64_t kLd = 520;
+  std::vector<double> a(static_cast<std::size_t>(kLd * kN));
+  dispatch::ResidencyTracker tracker;
+  if (state.range(0) != 0) {
+    tracker.note_upload(
+        dispatch::matrix_region(a.data(), sizeof(double), kLd, kN, kN));
+  }
+  const dispatch::Region row{a.data() + 3, sizeof(double),
+                             sizeof(double) * kLd, kN};
+  for (auto _ : state) {
+    auto swap = tracker.note_host_swap(row, a.data() + 300);
+    benchmark::DoNotOptimize(swap);
+  }
+  state.counters["intervals"] =
+      static_cast<double>(tracker.interval_count());
+  state.SetItemsProcessed(state.iterations() * kN);
+}
+
+/// A warm, ld-padded f64 GEMM (n = 96, ld = 104) through Dispatcher::run
+/// under ResidencyPolicy::Track on isambard-ai, where it routes to the
+/// GPU: plan, staging and the residency lookups and marks of one call.
+/// Kernels run timing-only so the number is the dispatch layer's own.
+void BM_residency_gpu_call(benchmark::State& state) {
+  constexpr int kN = 96;
+  constexpr int kLd = 104;
+  dispatch::DispatcherConfig config;
+  config.profile = profile::by_name("isambard-ai");
+  config.residency = dispatch::ResidencyPolicy::Track;
+  config.functional = false;
+  dispatch::Dispatcher dispatcher(config);
+  const auto size = static_cast<std::size_t>(kLd * kN);
+  auto a = random_vec<double>(size, 4);
+  auto b = random_vec<double>(size, 5);
+  std::vector<double> c(size, 0.0);
+  const dispatch::Call call = dispatch::Call::gemm<double>(
+      blas::Transpose::No, blas::Transpose::No, kN, kN, kN, 1.0, a.data(),
+      kLd, b.data(), kLd, 1.0, c.data(), kLd, dispatcher.effective_mode());
+  dispatcher.run(call);  // warm the operands
+  for (auto _ : state) {
+    dispatcher.run(call);
+    benchmark::DoNotOptimize(c.data());
+  }
+  const dispatch::DispatchStats stats = dispatcher.stats();
+  state.counters["gpu_share"] = static_cast<double>(stats.gpu_routed) /
+                                static_cast<double>(stats.calls);
+}
+
 BENCHMARK_TEMPLATE(BM_gemm, float)->Arg(64)->Arg(128)->Arg(256);
 BENCHMARK_TEMPLATE(BM_gemm, double)->Arg(64)->Arg(128)->Arg(256);
 // Args: {m, n, k, threads}. Square at 1/2/4 threads, then the shapes the
@@ -366,6 +422,8 @@ BENCHMARK_TEMPLATE(BM_axpy, double)->Arg(1 << 16);
 BENCHMARK_TEMPLATE(BM_gemm_reference, double)->Arg(128);
 BENCHMARK(BM_spmv)->Arg(4096)->Arg(16384);
 BENCHMARK(BM_getrf)->Arg(128)->Arg(256);
+BENCHMARK(BM_residency_row_swap)->Arg(0)->Arg(1);
+BENCHMARK(BM_residency_gpu_call);
 
 }  // namespace
 

@@ -102,6 +102,18 @@ sim::SimGpu::Config device_config(const DispatcherConfig& config) {
   return dev;
 }
 
+/// Cold / warm-partial / warm from which operands are resident-clean.
+ResidencyClass classify(const OperandRegions& regions,
+                        const std::array<bool, 3>& clean) {
+  const auto valid = static_cast<int>(regions.a.valid()) +
+                     static_cast<int>(regions.b.valid()) +
+                     static_cast<int>(regions.c.valid());
+  const auto warm = static_cast<int>(clean[0]) + static_cast<int>(clean[1]) +
+                    static_cast<int>(clean[2]);
+  if (warm == 0) return ResidencyClass::Cold;
+  return warm == valid ? ResidencyClass::Warm : ResidencyClass::WarmPartial;
+}
+
 const char* route_noise_tag(Route route) {
   switch (route) {
     case Route::Cpu:
@@ -237,22 +249,16 @@ bool Dispatcher::tracking_enabled() const {
   return true;
 }
 
-ResidencyClass Dispatcher::classify_locked(
+std::array<bool, 3> Dispatcher::clean_operands_locked(
     const OperandRegions& regions) const {
-  if (!tracking_enabled()) return ResidencyClass::Cold;
-  int total = 0;
-  int clean = 0;
-  for (const Region* r : {&regions.a, &regions.b, &regions.c}) {
-    if (!r->valid()) continue;
-    ++total;
-    if (residency_.resident_clean(*r)) ++clean;
-  }
-  if (total == 0 || clean == 0) return ResidencyClass::Cold;
-  return clean == total ? ResidencyClass::Warm : ResidencyClass::WarmPartial;
+  if (!tracking_enabled()) return {};
+  return {residency_.resident_clean(regions.a),
+          residency_.resident_clean(regions.b),
+          residency_.resident_clean(regions.c)};
 }
 
 core::SimBackend::GpuTraffic Dispatcher::traffic_locked(
-    const core::OpDesc& desc, const OperandRegions& regions) const {
+    const core::OpDesc& desc, const std::array<bool, 3>& clean) const {
   // Packed per-structure byte counts — exactly what the enqueue paths
   // stage and what SimBackend::gpu_time charges per structure.
   const double es = static_cast<double>(model::bytes_of(desc.precision));
@@ -270,13 +276,9 @@ core::SimBackend::GpuTraffic Dispatcher::traffic_locked(
     s2 = es * static_cast<double>(desc.y_len());
   }
   core::SimBackend::GpuTraffic traffic;
-  const bool live = tracking_enabled();
-  traffic.h2d[0] =
-      live && residency_.resident_clean(regions.a) ? 0.0 : s0;
-  traffic.h2d[1] =
-      live && residency_.resident_clean(regions.b) ? 0.0 : s1;
-  traffic.h2d[2] =
-      live && residency_.resident_clean(regions.c) ? 0.0 : s2;
+  traffic.h2d[0] = clean[0] ? 0.0 : s0;
+  traffic.h2d[1] = clean[1] ? 0.0 : s1;
+  traffic.h2d[2] = clean[2] ? 0.0 : s2;
   traffic.d2h_bytes = s2;
   traffic.usm = config_.residency == ResidencyPolicy::FirstTouch;
   return traffic;
@@ -300,7 +302,10 @@ void Dispatcher::count_residency_miss() {
 
 void Dispatcher::note_host_output_locked(const Region& region) {
   if (!tracking_enabled() || !region.valid()) return;
-  const std::size_t killed = residency_.note_host_write(region);
+  count_invalidations(residency_.note_host_write(region));
+}
+
+void Dispatcher::count_invalidations(std::size_t killed) {
   if (killed == 0) return;
   counters_.residency_invalidations.fetch_add(killed,
                                               std::memory_order_relaxed);
@@ -323,26 +328,15 @@ void Dispatcher::host_swap(const void* pa, const void* pb,
                            std::size_t count) {
   if (!tracking_enabled()) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  std::uint64_t mirrored = 0;
-  const auto* ba = static_cast<const char*>(pa);
-  const auto* bb = static_cast<const char*>(pb);
-  for (std::size_t i = 0; i < count; ++i) {
-    const Region ra{ba + i * stride_bytes, chunk_bytes};
-    const Region rb{bb + i * stride_bytes, chunk_bytes};
-    if (residency_.resident_clean(ra) && residency_.resident_clean(rb)) {
-      // Both device copies matched the host before the interchange, and
-      // the modelled device applies the same interchange (laswp), so
-      // they still match after it: the swap is mirrored, not a write.
-      ++mirrored;
-    } else {
-      note_host_output_locked(ra);
-      note_host_output_locked(rb);
-    }
-  }
-  if (mirrored > 0) {
-    counters_.residency_swaps_mirrored.fetch_add(mirrored,
+  // A clean pair stays clean: the modelled device applies the same
+  // interchange (laswp), so the swap is mirrored, not a write.
+  const ResidencyTracker::SwapResult swap = residency_.note_host_swap(
+      Region{pa, chunk_bytes, stride_bytes, count}, pb);
+  if (swap.mirrored > 0) {
+    counters_.residency_swaps_mirrored.fetch_add(swap.mirrored,
                                                  std::memory_order_relaxed);
   }
+  count_invalidations(swap.invalidated);
 }
 
 // -- decision plumbing -------------------------------------------------------
@@ -361,7 +355,8 @@ void Dispatcher::ensure_seeded(const BucketKey& key, const core::OpDesc& desc,
 Decision Dispatcher::plan_locked(const core::OpDesc& desc, bool gpu_ok,
                                  const OperandRegions& regions) {
   obs::Span span("dispatch.decide", obs::Category::Dispatch);
-  const ResidencyClass cls = classify_locked(regions);
+  const std::array<bool, 3> clean = clean_operands_locked(regions);
+  const ResidencyClass cls = classify(regions, clean);
   BucketKey key = bucket_key(desc);
   key.residency = cls;
 
@@ -382,7 +377,7 @@ Decision Dispatcher::plan_locked(const core::OpDesc& desc, bool gpu_ok,
         gpu_override = gpu_seed;
       }
     } else {
-      gpu_seed = model_.gpu_time_with(desc, traffic_locked(desc, regions));
+      gpu_seed = model_.gpu_time_with(desc, traffic_locked(desc, clean));
     }
   }
 
@@ -757,7 +752,16 @@ sim::Buffer Dispatcher::acquire_staging_locked(sim::MemKind kind,
 Dispatcher::GpuJob Dispatcher::enqueue_gpu(const Decision& decision,
                                            const Call& call) {
   std::lock_guard<std::mutex> lock(mutex_);
-  return enqueue_gpu_locked(decision, call);
+  GpuJob job = enqueue_gpu_locked(decision, call);
+  // The job outlives the lock: the kernel overwrites the device copy of
+  // C, which stays dirty (no later enqueue takes it as resident) until
+  // the join unpacks the result. run() joins under the same lock, so
+  // nothing could see the dirty state and it skips both marks.
+  if (tracking_enabled()) {
+    job.dirty_out = operand_regions(call).c;
+    residency_.note_device_write(job.dirty_out);
+  }
+  return job;
 }
 
 Dispatcher::GpuJob Dispatcher::enqueue_gpu_locked(const Decision& decision,
@@ -784,7 +788,6 @@ Dispatcher::GpuJob Dispatcher::enqueue_gpu_locked(const Decision& decision,
   const OperandRegions regions = operand_regions(call);
   const std::array<const Region*, 3> footprint{&regions.a, &regions.b,
                                                &regions.c};
-  job.out_region = regions.c;
 
   // FirstTouch places operands in managed memory, where the kernel's
   // page-migration model moves only what is not already resident; the
@@ -873,9 +876,6 @@ Dispatcher::GpuJob Dispatcher::enqueue_gpu_locked(const Decision& decision,
                 shape = shapes[2], es]() {
     copy_dense(out, shape.ld, staged, shape.rows, shape, es);
   };
-  // The kernel overwrites the device copy of C: dirty until the result
-  // is downloaded and unpacked at the join.
-  if (tracking_enabled()) residency_.note_device_write(regions.c);
   return job;
 }
 
@@ -898,9 +898,9 @@ void Dispatcher::finish_gpu_job_locked(GpuJob& job, bool overlapped) {
     job.buffers.clear();
   }
   // The device result has been unpacked into the client buffer: host and
-  // device copies agree, so the output region is resident-clean — the
+  // device copies agree, so a dirty output is resident-clean again — the
   // next iteration of a solver that feeds C/y back in uploads nothing.
-  if (tracking_enabled()) residency_.note_device_result(job.out_region);
+  residency_.note_device_result(job.dirty_out);
   if (overlapped) {
     counters_.overlapped_gpu_calls.fetch_add(1, std::memory_order_relaxed);
   }

@@ -35,6 +35,7 @@
 // of threads may call it; the AdmissionQueue adds batching and overlap
 // on top and keeps each producer's order on shared buffers.
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -278,7 +279,9 @@ class Dispatcher final : public blas::CblasDispatchHook {
     std::uint64_t seq = 0;
     double h2d_moved = 0.0;    ///< H2D bytes this job actually charged
     double h2d_skipped = 0.0;  ///< H2D bytes skipped via residency hits
-    Region out_region;         ///< client output footprint (C or y)
+    /// Output footprint (C or y) that enqueue_gpu marked resident-dirty;
+    /// the join marks it clean. Empty when nothing was marked.
+    Region dirty_out;
   };
 
   /// Stage a GPU-routed call on the dispatch stream and return without
@@ -286,6 +289,8 @@ class Dispatcher final : public blas::CblasDispatchHook {
   /// finish_gpu_job(). `decision` must come from plan() for this call:
   /// Route::GpuEmulated runs the fp32-slice kernel (slice count from the
   /// budget) behind the same staging and link traffic as Route::Gpu.
+  /// Under an active residency policy the output stays resident-dirty
+  /// (never a residency hit) until finish_gpu_job() joins the job.
   GpuJob enqueue_gpu(const Decision& decision, const Call& call);
 
   /// Join a pending GPU job: advance the virtual clock to its completion,
@@ -414,13 +419,14 @@ class Dispatcher final : public blas::CblasDispatchHook {
   /// also disables it (no page ever migrates, so nothing becomes
   /// resident and classifying calls warm would mis-price them).
   [[nodiscard]] bool tracking_enabled() const;
-  /// Cold / warm-partial / warm from the tracker's view of `regions`.
-  [[nodiscard]] ResidencyClass classify_locked(
+  /// Which of A, B/x and C/y are resident-clean (none while tracking is
+  /// off); one lookup per operand serves both classify and pricing.
+  [[nodiscard]] std::array<bool, 3> clean_operands_locked(
       const OperandRegions& regions) const;
   /// Per-structure H2D bytes this call still needs to move (0 for
   /// resident-clean operands) plus the output download.
   [[nodiscard]] core::SimBackend::GpuTraffic traffic_locked(
-      const core::OpDesc& desc, const OperandRegions& regions) const;
+      const core::OpDesc& desc, const std::array<bool, 3>& clean) const;
   /// A pinned host or device staging buffer holding at least `bytes`:
   /// the best-fitting free one, else a fresh allocation that replaces a
   /// too-small free one. Its contents are stale; staging overwrites the
@@ -432,6 +438,7 @@ class Dispatcher final : public blas::CblasDispatchHook {
                             GpuJob& job);
   /// A host-side (CPU-routed) write landed on `region`: invalidate.
   void note_host_output_locked(const Region& region);
+  void count_invalidations(std::size_t killed);
   void count_residency_hit();
   void count_residency_miss();
 

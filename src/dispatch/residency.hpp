@@ -15,9 +15,11 @@
 // States (per interval; absent = host-only, no device copy):
 //  * resident-clean — the device copy matches the host bytes. Reads of a
 //    fully-clean region skip the H2D DMA entirely.
-//  * resident-dirty — the device holds a NEWER result than the host
-//    (a GPU output between kernel enqueue and download/unpack). Dirty
-//    regions never satisfy a clean lookup.
+//  * resident-dirty — the device holds a NEWER result than the host: the
+//    output of a job handed out by Dispatcher::enqueue_gpu that is not
+//    joined yet. Dirty regions never satisfy a clean lookup. A
+//    synchronous Dispatcher::run enqueues and joins under one lock, so
+//    nothing can observe its output mid-flight and it never marks it.
 //
 // The tracker sees only writes performed through the dispatcher (kernel
 // outputs); host stores that bypass the BLAS seam are invisible, exactly
@@ -96,7 +98,8 @@ class ResidencyTracker {
   void note_upload(const Region& region);
 
   /// A device kernel is about to overwrite the device copy of `region`
-  /// (a C/y output between enqueue and download): resident-dirty.
+  /// (the C/y output of a handed-out GPU job, until it is joined):
+  /// resident-dirty.
   void note_device_write(const Region& region);
 
   /// The device result for `region` has been downloaded and unpacked
@@ -109,6 +112,20 @@ class ResidencyTracker {
   /// remainder keeps its state). Returns the number of intervals
   /// invalidated, summed over chunks.
   std::size_t note_host_write(const Region& region);
+
+  struct SwapResult {
+    std::size_t mirrored = 0;     ///< column pairs mirrored on the device
+    std::size_t invalidated = 0;  ///< intervals invalidated
+  };
+
+  /// The host interchanged row `a` with the row of the same shape that
+  /// starts at `b` (chunk i of one swapped with chunk i of the other, a
+  /// pivoting row swap). A pair whose chunks are both resident-clean is
+  /// mirrored on the device copies (a device laswp keeps them clean);
+  /// every other pair is a host write of both chunks. Both rows are
+  /// walked in one forward pass; chunks no interval overlaps cost no
+  /// erase.
+  SwapResult note_host_swap(const Region& a, const void* b);
 
   /// True when EVERY byte of EVERY chunk of `region` is covered by
   /// resident-clean intervals. Partial coverage (or any dirty byte) is a
@@ -127,6 +144,9 @@ class ResidencyTracker {
     std::uintptr_t end = 0;  ///< one past the last byte
     CopyState state = CopyState::ResidentClean;
   };
+
+  /// Forward walk over the map for chunks probed in address order.
+  class Cursor;
 
   void mark(std::uintptr_t begin, std::uintptr_t end, CopyState state);
   /// Remove [begin, end) from the map, splitting boundary intervals.

@@ -1,6 +1,7 @@
 // The residency subsystem: the pointer-interval map against a per-byte
 // reference model (randomized overlap splitting, write invalidation,
-// aliased intervals), the region span helpers, the v2 -> v3 calibration
+// aliased intervals, row interchanges), one-pass row swaps against the
+// pair-by-pair reference, the region span helpers, the v2 -> v3 calibration
 // migration, and the dispatcher-level property the tentpole is
 // accountable to — a repeated-A GEMV loop under ResidencyPolicy::Track
 // produces bitwise-identical results to a Transfer-Always run while
@@ -60,14 +61,39 @@ class ByteModel {
     return true;
   }
 
-  [[nodiscard]] std::size_t runs() const {
+  [[nodiscard]] std::size_t runs() const { return runs_in(0, bytes_.size()); }
+
+  /// Maximal equal-state runs meeting [offset, offset + n): the intervals
+  /// a host write of that range invalidates.
+  [[nodiscard]] std::size_t runs_in(std::size_t offset, std::size_t n) const {
     std::size_t count = 0;
-    State prev = None;
-    for (const State s : bytes_) {
-      if (s != None && s != prev) ++count;
-      prev = s;
+    for (std::size_t i = offset; i < offset + n; ++i) {
+      if (bytes_[i] != None && (i == offset || bytes_[i] != bytes_[i - 1])) {
+        ++count;
+      }
     }
     return count;
+  }
+
+  /// Row interchange, pair by pair: a pair of all-clean chunks is
+  /// mirrored, any other pair is a host write of both chunks.
+  ResidencyTracker::SwapResult swap(std::size_t a, std::size_t b,
+                                    std::size_t bytes, std::size_t stride,
+                                    std::size_t count) {
+    ResidencyTracker::SwapResult result;
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t ca = a + i * stride;
+      const std::size_t cb = b + i * stride;
+      if (all_clean(ca, bytes) && all_clean(cb, bytes)) {
+        ++result.mirrored;
+        continue;
+      }
+      result.invalidated += runs_in(ca, bytes);
+      set(ca, bytes, None);
+      result.invalidated += runs_in(cb, bytes);
+      set(cb, bytes, None);
+    }
+    return result;
   }
 
  private:
@@ -86,7 +112,7 @@ TEST(ResidencyTracker, RandomOpsAgreeWithByteModel) {
     const auto len = static_cast<std::size_t>(
         rng.uniform_int(1, static_cast<int>(kArena - offset)));
     const Region r = region_at(offset, len);
-    switch (rng.uniform_int(0, 3)) {
+    switch (rng.uniform_int(0, 4)) {
       case 0:
         tracker.note_upload(r);
         model.set(offset, len, ByteModel::Clean);
@@ -99,10 +125,31 @@ TEST(ResidencyTracker, RandomOpsAgreeWithByteModel) {
         tracker.note_device_result(r);
         model.set(offset, len, ByteModel::Clean);
         break;
-      default:
-        tracker.note_host_write(r);
+      case 3:
+        ASSERT_EQ(tracker.note_host_write(r), model.runs_in(offset, len))
+            << "step " << step;
         model.set(offset, len, ByteModel::None);
         break;
+      default: {
+        // Row swap: two same-shaped strided rows, overlapping now and
+        // then (stride below the chunk size, or rows closer than a chunk).
+        const auto bytes = static_cast<std::size_t>(rng.uniform_int(1, 16));
+        const auto count = static_cast<std::size_t>(rng.uniform_int(1, 8));
+        const auto stride = static_cast<std::size_t>(rng.uniform_int(0, 64));
+        const std::size_t span = (count - 1) * stride + bytes;
+        const auto a = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(kArena - span)));
+        const auto b = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(kArena - span)));
+        const ResidencyTracker::SwapResult got =
+            tracker.note_host_swap(Region{kBase + a, bytes, stride, count},
+                                   kBase + b);
+        const ResidencyTracker::SwapResult want =
+            model.swap(a, b, bytes, stride, count);
+        ASSERT_EQ(got.mirrored, want.mirrored) << "step " << step;
+        ASSERT_EQ(got.invalidated, want.invalidated) << "step " << step;
+        break;
+      }
     }
 
     ASSERT_EQ(tracker.interval_count(), model.runs()) << "step " << step;
@@ -114,6 +161,23 @@ TEST(ResidencyTracker, RandomOpsAgreeWithByteModel) {
       ASSERT_EQ(tracker.resident_clean(region_at(po, pl)),
                 model.all_clean(po, pl))
           << "step " << step << " probe [" << po << ", " << po + pl << ")";
+    }
+    // Strided probes walk the map with one cursor across chunks.
+    for (int probe = 0; probe < 4; ++probe) {
+      const auto bytes = static_cast<std::size_t>(rng.uniform_int(1, 32));
+      const auto count = static_cast<std::size_t>(rng.uniform_int(1, 6));
+      const auto stride = static_cast<std::size_t>(rng.uniform_int(0, 96));
+      const std::size_t span = (count - 1) * stride + bytes;
+      const auto po = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(kArena - span)));
+      bool want = true;
+      for (std::size_t i = 0; i < count; ++i) {
+        want = want && model.all_clean(po + i * stride, bytes);
+      }
+      ASSERT_EQ(tracker.resident_clean(Region{kBase + po, bytes, stride,
+                                              count}),
+                want)
+          << "step " << step << " strided probe at " << po;
     }
   }
 }
@@ -175,6 +239,148 @@ TEST(ResidencyTracker, AliasedIntervalsShareState) {
   EXPECT_FALSE(tracker.resident_clean(upper));
   EXPECT_TRUE(tracker.resident_clean(region_at(0, 100)));
   EXPECT_TRUE(tracker.resident_clean(region_at(110, 90)));
+}
+
+// ----------------------------------------------- row interchanges
+
+/// The pair-by-pair interchange through the public lookups: one clean
+/// check per chunk, one host write per chunk of a non-mirrored pair.
+ResidencyTracker::SwapResult swap_per_column(ResidencyTracker& tracker,
+                                             const Region& a,
+                                             const void* b) {
+  ResidencyTracker::SwapResult result;
+  for (std::size_t i = 0; i < a.count; ++i) {
+    const Region ca{static_cast<const char*>(a.ptr) + i * a.stride, a.bytes};
+    const Region cb{static_cast<const char*>(b) + i * a.stride, a.bytes};
+    if (tracker.resident_clean(ca) && tracker.resident_clean(cb)) {
+      ++result.mirrored;
+      continue;
+    }
+    result.invalidated += tracker.note_host_write(ca);
+    result.invalidated += tracker.note_host_write(cb);
+  }
+  return result;
+}
+
+// A 6 x 5 f64 matrix stored with ld 10: 48-byte column chunks, 80 apart.
+constexpr std::size_t kElem = 8;
+constexpr std::int64_t kLd = 10;
+constexpr std::int64_t kRows = 6;
+constexpr std::int64_t kCols = 5;
+
+Region padded_matrix(const void* base) {
+  return dispatch::matrix_region(base, kElem, kLd, kRows, kCols);
+}
+
+/// Row `r` of the padded matrix: one element per column.
+Region padded_row(const void* base, std::int64_t r) {
+  return Region{static_cast<const char*>(base) + kElem * r, kElem,
+                kElem * kLd, kCols};
+}
+
+const void* row_ptr(const void* base, std::int64_t r) {
+  return static_cast<const char*>(base) + kElem * r;
+}
+
+/// Every element of the padded matrix (plus its padding) is clean in
+/// `got` exactly where it is clean in `want`.
+void expect_same_elements(const ResidencyTracker& got,
+                          const ResidencyTracker& want, const void* base) {
+  for (std::int64_t j = 0; j < kCols; ++j) {
+    for (std::int64_t i = 0; i < kLd; ++i) {
+      const Region e{static_cast<const char*>(base) + kElem * (j * kLd + i),
+                     kElem};
+      EXPECT_EQ(got.resident_clean(e), want.resident_clean(e))
+          << "row " << i << " column " << j;
+    }
+  }
+  EXPECT_EQ(got.interval_count(), want.interval_count());
+}
+
+TEST(ResidencySwap, CleanRowsMirrorEveryPairAndKeepTheMap) {
+  ResidencyTracker tracker;
+  tracker.note_upload(padded_matrix(kBase));
+  ASSERT_EQ(tracker.interval_count(), 5U);
+  const ResidencyTracker before = tracker;
+
+  const ResidencyTracker::SwapResult swap =
+      tracker.note_host_swap(padded_row(kBase, 1), row_ptr(kBase, 4));
+  EXPECT_EQ(swap.mirrored, 5U);
+  EXPECT_EQ(swap.invalidated, 0U);
+  EXPECT_TRUE(tracker.resident_clean(padded_matrix(kBase)));
+  expect_same_elements(tracker, before, kBase);
+}
+
+TEST(ResidencySwap, PartlyResidentRowLosesOnlyOverlappedChunks) {
+  ResidencyTracker tracker;
+  tracker.note_upload(padded_matrix(kBase));
+  // Row 4 loses its element in columns 1 and 3: those pairs cannot be
+  // mirrored, so row 1's element there is invalidated too.
+  for (const std::int64_t j : {1, 3}) {
+    ASSERT_EQ(tracker.note_host_write(Region{
+                  kBase + kElem * (j * kLd + 4), kElem}),
+              1U);
+  }
+  ResidencyTracker reference = tracker;
+
+  const ResidencyTracker::SwapResult swap =
+      tracker.note_host_swap(padded_row(kBase, 1), row_ptr(kBase, 4));
+  const ResidencyTracker::SwapResult want =
+      swap_per_column(reference, padded_row(kBase, 1), row_ptr(kBase, 4));
+  EXPECT_EQ(swap.mirrored, 3U);
+  EXPECT_EQ(swap.invalidated, 2U);  // row 1's chunks; row 4's are gone
+  EXPECT_EQ(swap.mirrored, want.mirrored);
+  EXPECT_EQ(swap.invalidated, want.invalidated);
+  expect_same_elements(tracker, reference, kBase);
+  for (std::int64_t j = 0; j < kCols; ++j) {
+    const bool kept = j != 1 && j != 3;
+    EXPECT_EQ(tracker.resident_clean(
+                  Region{kBase + kElem * (j * kLd + 1), kElem}),
+              kept)
+        << "column " << j;
+  }
+}
+
+TEST(ResidencySwap, UntrackedRowsAreANoOp) {
+  ResidencyTracker empty;
+  const ResidencyTracker::SwapResult none =
+      empty.note_host_swap(padded_row(kBase, 0), row_ptr(kBase, 5));
+  EXPECT_EQ(none.mirrored, 0U);
+  EXPECT_EQ(none.invalidated, 0U);
+  EXPECT_EQ(empty.interval_count(), 0U);
+
+  // Another matrix is tracked; swapping rows of this one leaves it be.
+  ResidencyTracker tracker;
+  const char* other = kBase + 4096;
+  tracker.note_upload(padded_matrix(other));
+  const ResidencyTracker before = tracker;
+  const ResidencyTracker::SwapResult swap =
+      tracker.note_host_swap(padded_row(kBase, 0), row_ptr(kBase, 5));
+  EXPECT_EQ(swap.mirrored, 0U);
+  EXPECT_EQ(swap.invalidated, 0U);
+  expect_same_elements(tracker, before, other);
+}
+
+TEST(ResidencySwap, OverlappingRowsMatchPerColumnOrder) {
+  // Rows whose chunks overlap (here: a row swapped with itself shifted
+  // by half a chunk) see each pair's invalidation before the next pair.
+  ResidencyTracker tracker;
+  tracker.note_upload(region_at(0, 400));
+  tracker.note_host_write(region_at(100, 8));
+  ResidencyTracker reference = tracker;
+  const Region row{kBase, 16, 40, 8};
+  const ResidencyTracker::SwapResult swap =
+      tracker.note_host_swap(row, kBase + 8);
+  const ResidencyTracker::SwapResult want =
+      swap_per_column(reference, row, kBase + 8);
+  EXPECT_EQ(swap.mirrored, want.mirrored);
+  EXPECT_EQ(swap.invalidated, want.invalidated);
+  EXPECT_EQ(tracker.interval_count(), reference.interval_count());
+  for (std::size_t off = 0; off < 400; off += 4) {
+    EXPECT_EQ(tracker.resident_clean(region_at(off, 4)),
+              reference.resident_clean(region_at(off, 4)))
+        << "offset " << off;
+  }
 }
 
 // ----------------------------------------------- region span helpers
@@ -463,6 +669,172 @@ TEST(ResidencyDispatch, CpuRoutedOutputInvalidatesWarmPanel) {
   if (last.route == dispatch::Route::Gpu) {
     EXPECT_GT(last.h2d_moved_bytes, 0.0);
     EXPECT_NE(last.residency, dispatch::ResidencyClass::Warm);
+  }
+}
+
+TEST(ResidencySwap, TrackDispatcherCountsLikePerColumnSwaps) {
+  dispatch::Dispatcher disp(solver_config(dispatch::ResidencyPolicy::Track,
+                                          core::TransferMode::Once));
+  std::vector<double> m(static_cast<std::size_t>(kLd * kCols), 1.0);
+  std::vector<double> b(static_cast<std::size_t>(kCols * 3), 1.0);
+  std::vector<double> c(static_cast<std::size_t>(kRows * 3), 0.0);
+  // Warm the padded matrix: A of a GEMM pinned to the GPU route.
+  const dispatch::Call warm = dispatch::Call::gemm<double>(
+      blas::Transpose::No, blas::Transpose::No, kRows, 3, kCols, 1.0,
+      m.data(), kLd, b.data(), kCols, 0.0, c.data(), kRows,
+      disp.effective_mode());
+  dispatch::Decision decision = disp.plan(warm);
+  decision.route = dispatch::Route::Gpu;
+  dispatch::Dispatcher::GpuJob job = disp.enqueue_gpu(decision, warm);
+  disp.finish_gpu_job(job);
+  ASSERT_TRUE(disp.residency().resident_clean(padded_matrix(m.data())));
+  const std::size_t warm_intervals = disp.residency().interval_count();
+
+  // Both rows clean: every pair mirrored, the map untouched.
+  disp.host_swap(row_ptr(m.data(), 1), row_ptr(m.data(), 4), kElem,
+                 kElem * kLd, kCols);
+  EXPECT_EQ(disp.stats().residency_swaps_mirrored, 5U);
+  EXPECT_EQ(disp.stats().residency_invalidations, 0U);
+  EXPECT_EQ(disp.residency().interval_count(), warm_intervals);
+
+  // Row 4 partly resident: the per-column count, chunk for chunk.
+  for (const std::int64_t j : {1, 3}) {
+    disp.host_write(&m[static_cast<std::size_t>(j * kLd + 4)], kElem, 0, 1);
+  }
+  ASSERT_EQ(disp.stats().residency_invalidations, 2U);
+  ResidencyTracker reference = disp.residency();
+  const ResidencyTracker::SwapResult want = swap_per_column(
+      reference, padded_row(m.data(), 1), row_ptr(m.data(), 4));
+  disp.host_swap(row_ptr(m.data(), 1), row_ptr(m.data(), 4), kElem,
+                 kElem * kLd, kCols);
+  EXPECT_EQ(disp.stats().residency_swaps_mirrored, 5U + want.mirrored);
+  EXPECT_EQ(disp.stats().residency_invalidations, 2U + want.invalidated);
+  EXPECT_EQ(want.invalidated, 2U);
+  expect_same_elements(disp.residency(), reference, m.data());
+
+  // Rows of an untracked matrix: nothing mirrored, nothing invalidated.
+  std::vector<double> untracked(m.size(), 2.0);
+  const dispatch::DispatchStats before = disp.stats();
+  disp.host_swap(row_ptr(untracked.data(), 0),
+                 row_ptr(untracked.data(), 5), kElem, kElem * kLd, kCols);
+  EXPECT_EQ(disp.stats().residency_swaps_mirrored,
+            before.residency_swaps_mirrored);
+  EXPECT_EQ(disp.stats().residency_invalidations,
+            before.residency_invalidations);
+  EXPECT_EQ(disp.residency().interval_count(), reference.interval_count());
+}
+
+// ------------------------------------- synchronous vs handed-out jobs
+
+/// ld-padded f64 operands of a short solver-like stream: later calls
+/// read (and one rewrites) the outputs of earlier ones. On isambard-ai
+/// under Track every GEMM routes to the GPU (under FirstTouch some go to
+/// the CPU); the small GEMV reading a GPU output goes to the CPU.
+struct PaddedStream {
+  static constexpr int kN = 96;
+  static constexpr int kLdPadded = 104;
+  std::vector<double> a, b, c, d, x, y;
+
+  PaddedStream() {
+    const auto size = static_cast<std::size_t>(kLdPadded * kN);
+    util::Xoshiro256 rng(0xe11de);
+    for (auto* v : {&a, &b, &c, &d}) {
+      v->resize(size);
+      for (double& e : *v) e = rng.uniform(-1.0, 1.0);
+    }
+    x.resize(kN);
+    for (double& e : x) e = rng.uniform(-1.0, 1.0);
+    y.assign(kN, 0.0);
+  }
+
+  [[nodiscard]] std::vector<dispatch::Call> calls(core::TransferMode mode) {
+    using blas::Transpose;
+    auto gemm = [&](const std::vector<double>& lhs,
+                    const std::vector<double>& rhs, std::vector<double>& out,
+                    double beta) {
+      return dispatch::Call::gemm<double>(
+          Transpose::No, Transpose::No, kN, kN, kN, 1.0, lhs.data(),
+          kLdPadded, rhs.data(), kLdPadded, beta, out.data(), kLdPadded,
+          mode);
+    };
+    return {gemm(a, b, c, 0.5),
+            gemm(c, b, d, 0.0),  // reads the previous output
+            dispatch::Call::gemv<double>(Transpose::No, kN, kN, 1.0,
+                                         c.data(), kLdPadded, x.data(), 1,
+                                         0.0, y.data(), 1, mode),
+            gemm(a, d, c, 1.0),  // rewrites the first output
+            gemm(c, d, d, 0.0)};
+  }
+};
+
+dispatch::DispatcherConfig gpu_stream_config(dispatch::ResidencyPolicy p) {
+  dispatch::DispatcherConfig cfg =
+      solver_config(p, core::TransferMode::Once);
+  cfg.noise_sigma = 0.0;
+  return cfg;
+}
+
+bool is_gpu(dispatch::Route route) {
+  return route == dispatch::Route::Gpu ||
+         route == dispatch::Route::GpuEmulated;
+}
+
+TEST(ResidencyDispatch, SynchronousRunMatchesHandedOutJobs) {
+  for (const auto policy : {dispatch::ResidencyPolicy::Track,
+                            dispatch::ResidencyPolicy::FirstTouch}) {
+    SCOPED_TRACE(dispatch::to_string(policy));
+    PaddedStream sync_data, job_data;
+    dispatch::Dispatcher sync(gpu_stream_config(policy));
+    dispatch::Dispatcher jobs(gpu_stream_config(policy));
+    const auto sync_calls = sync_data.calls(sync.effective_mode());
+    const auto job_calls = job_data.calls(jobs.effective_mode());
+
+    for (std::size_t i = 0; i < sync_calls.size(); ++i) {
+      sync.run(sync_calls[i]);
+      const dispatch::Call& call = job_calls[i];
+      const dispatch::Decision decision = jobs.plan(call);
+      if (!is_gpu(decision.route)) {
+        jobs.run_cpu(decision, call);
+      } else {
+        const Region out = dispatch::operand_regions(call).c;
+        dispatch::Dispatcher::GpuJob job = jobs.enqueue_gpu(decision, call);
+        // A handed-out job's output is dirty until it is joined.
+        EXPECT_FALSE(jobs.residency().resident_clean(out)) << "call " << i;
+        jobs.finish_gpu_job(job);
+        EXPECT_TRUE(jobs.residency().resident_clean(out)) << "call " << i;
+      }
+
+      // Same map after every call: interval count and every operand.
+      EXPECT_EQ(sync.residency().interval_count(),
+                jobs.residency().interval_count())
+          << "call " << i;
+      for (std::size_t k = 0; k <= i; ++k) {
+        const auto rs = dispatch::operand_regions(sync_calls[k]);
+        const auto rj = dispatch::operand_regions(job_calls[k]);
+        EXPECT_EQ(sync.residency().resident_clean(rs.a),
+                  jobs.residency().resident_clean(rj.a));
+        EXPECT_EQ(sync.residency().resident_clean(rs.b),
+                  jobs.residency().resident_clean(rj.b));
+        EXPECT_EQ(sync.residency().resident_clean(rs.c),
+                  jobs.residency().resident_clean(rj.c));
+      }
+    }
+
+    const dispatch::DispatchStats s = sync.stats();
+    const dispatch::DispatchStats j = jobs.stats();
+    EXPECT_EQ(s.gpu_routed, j.gpu_routed);
+    EXPECT_GE(j.gpu_routed, 2U);
+    if (policy == dispatch::ResidencyPolicy::Track) {
+      EXPECT_EQ(j.gpu_routed, 4U);  // every GEMM
+    }
+    EXPECT_EQ(s.h2d_bytes_moved, j.h2d_bytes_moved);
+    EXPECT_EQ(s.h2d_bytes_skipped, j.h2d_bytes_skipped);
+    EXPECT_GT(j.h2d_bytes_skipped, 0.0);
+    EXPECT_EQ(s.residency_hits, j.residency_hits);
+    EXPECT_EQ(sync.virtual_now(), jobs.virtual_now());
+    EXPECT_EQ(sync_data.c, job_data.c);
+    EXPECT_EQ(sync_data.d, job_data.d);
+    EXPECT_EQ(sync_data.y, job_data.y);
   }
 }
 

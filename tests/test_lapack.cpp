@@ -421,7 +421,7 @@ INSTANTIATE_TEST_SUITE_P(Profiles, LapackDispatchProfiles,
 
 TEST(LapackDispatch, GetrfSkipsResidentPanelDmaAboveThreshold) {
   // Above the offload threshold the trailing updates route to the GPU,
-  // and because panel results stay resident-dirty on device, the
+  // and because their results are resident-clean once joined, the
   // dispatched run must charge strictly fewer H2D bytes than a
   // Transfer-Always run of the same GPU-routed calls would.
   const int n = 512, block = 64;
